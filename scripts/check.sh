@@ -6,7 +6,7 @@
 # so the trees never mix).
 #
 #   scripts/check.sh                # static + plain + metrics + tsan + asan
-#                                   # + ubsan + storage + service
+#                                   # (+ UDP soak) + ubsan + storage + service
 #   scripts/check.sh plain tsan     # just these suites
 #   scripts/check.sh metrics        # metrics-JSON schema + byte-identity
 #   scripts/check.sh storage        # durable-WAL + catch-up recovery suites
@@ -72,6 +72,21 @@ run_suite() {
   cmake --build "$dir" -j "$JOBS"
   echo "=== $name: ctest"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+}
+
+# UDP soak: C-Abcast on the threaded runtime over real loopback sockets, at
+# a rate above the e2ebench ladder (10000 msg/s offered), three fixed seeds.
+# Run in the ASan tree, where a consensus instance freed while it still
+# executes fails on real threads (each of these seeds hit that bug before
+# it was fixed), and UdpNetwork aborts on a frame larger than one datagram.
+# Exit status is the check (total order and completeness).
+run_udp_soak() {
+  local dir=$1 seed
+  for seed in 2 3 4; do
+    echo "=== udp soak: c-l, 10000 msg/s, seed $seed ($dir)"
+    "./$dir/tools/zdc_explore" runtime --transport udp --protocol c-l \
+      --throughput 10000 --messages 5000 --seed "$seed"
+  done
 }
 
 # Storage stage: every `storage`-labelled test under both sanitizers — the
@@ -156,7 +171,8 @@ for suite in $suites; do
     plain) run_suite plain build ;;
     metrics) run_metrics ;;
     tsan)  run_suite tsan build-tsan -DZDC_SANITIZE=thread ;;
-    asan)  run_suite asan build-asan -DZDC_SANITIZE=address ;;
+    asan)  run_suite asan build-asan -DZDC_SANITIZE=address
+           run_udp_soak build-asan ;;
     ubsan) run_suite ubsan build-ubsan -DZDC_SANITIZE=undefined ;;
     storage) run_storage ;;
     service) run_service ;;

@@ -22,7 +22,8 @@ struct BatchingOptions {
   std::uint32_t paxos_pipeline_window = 0;
   /// Per-round batch cap for the C-Abcast stacks: at most this many messages
   /// w-broadcast (and hence ordered) per round. 0 = whole estimate per round
-  /// (the paper's algorithm).
+  /// (the paper's algorithm), up to the frame-size cap every round obeys
+  /// (runtime::kMaxMessageBytes).
   std::size_t c_abcast_max_batch = 0;
 
   [[nodiscard]] bool is_default() const {

@@ -1,12 +1,14 @@
 #include "abcast/c_abcast.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/log.h"
 #include "consensus/l_consensus.h"
 #include "consensus/p_consensus.h"
 #include "consensus/wab_consensus.h"
+#include "runtime/transport.h"
 
 namespace zdc::abcast {
 
@@ -75,6 +77,7 @@ CAbcast::Instance& CAbcast::instance(InstanceId k) {
 void CAbcast::submit(AppMessage m) {
   if (adelivered_.count(m.id) != 0) return;
   estimate_.emplace(m.id, std::move(m.payload));
+  recheck_start_ = true;
   step();
 }
 
@@ -85,7 +88,9 @@ void CAbcast::on_message(ProcessId from, std::string_view bytes) {
   if (!dec.ok() || tag != kConsTag || k == 0) return;  // malformed
   if (k + kPruneWindow < round_) return;  // instance pruned, decision flooded
   Instance& inst = instance(k);
-  if (inst.cons != nullptr) inst.cons->on_message(from, dec.get_rest());
+  if (inst.cons != nullptr) {
+    call_instances([&] { inst.cons->on_message(from, dec.get_rest()); });
+  }
   step();
 }
 
@@ -98,7 +103,9 @@ void CAbcast::on_w_deliver(InstanceId raw, ProcessId origin,
     // Consensus-internal oracle traffic: route to the instance.
     if (k + kPruneWindow < round_) return;
     Instance& inst = instance(k);
-    if (inst.cons != nullptr) inst.cons->on_w_deliver(stage, origin, payload);
+    if (inst.cons != nullptr) {
+      call_instances([&] { inst.cons->on_w_deliver(stage, origin, payload); });
+    }
     step();
     return;
   }
@@ -106,97 +113,157 @@ void CAbcast::on_w_deliver(InstanceId raw, ProcessId origin,
   MsgSet batch;
   if (!decode_msg_set(payload, batch)) return;
 
-  // Record the round's first oracle output — the consensus proposal (line 7).
-  if (k >= round_) firsts_.emplace(k, payload);
+  if (k >= round_) {
+    // Record the round's first oracle output — the consensus proposal (line
+    // 7) — and what the datagram carries, which is now in flight in round k.
+    firsts_.emplace(k, payload);
+    std::set<MsgId>& carried = in_flight_[k];
+    for (const auto& [id, body] : batch) carried.insert(id);
+  }
 
   // Line 16 (strengthened, see header): merge every w-delivered message that
   // has not been a-delivered into the estimate.
   for (auto& [id, body] : batch) {
     if (adelivered_.count(id) == 0) estimate_.emplace(id, std::move(body));
   }
+  recheck_start_ = true;
   step();
 }
 
 void CAbcast::on_fd_change() {
-  for (auto& [k, inst] : instances_) {
-    if (inst->cons != nullptr) inst->cons->on_fd_change();
-  }
+  call_instances([&] {
+    for (auto& [k, inst] : instances_) {
+      if (inst->cons != nullptr) inst->cons->on_fd_change();
+    }
+  });
   step();
 }
 
 void CAbcast::on_instance_decided(InstanceId k, const Value& v) {
+  // Always reached from inside call_instances: the caller's step() acts on it.
   instance(k).decision = v;
-  step();
 }
 
-std::size_t CAbcast::encode_pending(std::string* out) const {
-  // Two cheap passes over the (already canonically ordered) estimate instead
-  // of copying payloads into a scratch MsgSet: first size the batch, then
-  // encode straight into a right-sized buffer. Byte-identical to
-  // encode_msg_set() of the equivalent MsgSet.
-  std::size_t count = 0;
-  std::size_t bytes = 4;
-  for (const auto& [id, body] : estimate_) {
-    if (adelivered_.count(id) != 0) continue;
-    ++count;
-    bytes += 16 + body.size();
-    if (max_batch_ != 0 && count >= max_batch_) break;
+std::size_t CAbcast::encode_pending(InstanceId s, std::string* out) {
+  // The sender rule (header): senders with an undelivered message in flight
+  // in an earlier undecided round are held back, except for the messages
+  // round s's own datagrams already carried.
+  std::set<ProcessId> held;
+  for (auto it = in_flight_.lower_bound(round_);
+       it != in_flight_.end() && it->first < s; ++it) {
+    for (const MsgId& id : it->second) {
+      if (adelivered_.count(id) == 0) held.insert(id.sender);
+    }
   }
+  const auto seen_it = in_flight_.find(s);
+  const std::set<MsgId>* seen =
+      seen_it == in_flight_.end() ? nullptr : &seen_it->second;
+
+  // Select the batch sender by sender in canonical order, skipping a held
+  // sender's range of the estimate in one jump: under saturation every
+  // sender is held and this costs O(senders), not O(estimate). Both caps
+  // stop at the first message that does not fit, so each sender's share is
+  // a prefix of its sequence (FIFO).
+  constexpr std::size_t kMaxBatchBytes =
+      runtime::kMaxMessageBytes - kFrameOverhead;
+  std::vector<MsgSet::const_iterator> batch;
+  std::size_t bytes = 4;
+  bool full = false;
+  const auto take = [&](MsgSet::const_iterator it) {
+    const std::size_t grown = bytes + 16 + it->second.size();
+    full = (max_batch_ != 0 && batch.size() >= max_batch_) ||
+           (!batch.empty() && grown > kMaxBatchBytes);
+    if (full) return;
+    batch.push_back(it);
+    bytes = grown;
+  };
+  for (auto it = estimate_.begin(); it != estimate_.end() && !full;) {
+    const ProcessId sender = it->first.sender;
+    const auto next_sender = estimate_.lower_bound(MsgId{sender + 1, 0});
+    if (held.count(sender) == 0) {
+      for (; it != next_sender && !full; ++it) take(it);
+    } else if (seen != nullptr) {
+      for (auto id = seen->lower_bound(MsgId{sender, 0});
+           id != seen->end() && id->sender == sender && !full; ++id) {
+        const auto pending = estimate_.find(*id);
+        if (pending != estimate_.end()) take(pending);
+      }
+    }
+    it = next_sender;
+  }
+
+  // Encode straight into a right-sized buffer; byte-identical to
+  // encode_msg_set() of the equivalent MsgSet.
   common::Encoder enc(bytes);
-  enc.put_u32(static_cast<std::uint32_t>(count));
-  std::size_t emitted = 0;
-  for (const auto& [id, body] : estimate_) {
-    if (emitted == count) break;
-    if (adelivered_.count(id) != 0) continue;
-    enc.put_u32(id.sender);
-    enc.put_u64(id.seq);
-    enc.put_string(body);
-    ++emitted;
+  enc.put_u32(static_cast<std::uint32_t>(batch.size()));
+  std::set<MsgId>& carried = in_flight_[s];
+  for (const auto it : batch) {
+    enc.put_u32(it->first.sender);
+    enc.put_u64(it->first.seq);
+    enc.put_string(it->second);
+    carried.insert(it->first);
   }
   *out = enc.take();
-  return count;
+  return batch.size();
 }
 
 void CAbcast::step() {
   if (driving_) return;  // re-entrancy from nested upcalls; outer loop resumes
   driving_ = true;
   for (;;) {
-    // A stored decision for the current round completes it regardless of
-    // phase — this is both the normal completion and the catch-up path.
+    // Lines 9-13: a stored decision for the next round to deliver completes
+    // it, whether or not this process proposed — this is both the normal
+    // completion and the catch-up path. Later rounds wait for it.
     const auto inst_it = instances_.find(round_);
     if (inst_it != instances_.end() && inst_it->second->decision.has_value()) {
       complete_round(*inst_it->second->decision);
       continue;
     }
-
-    if (phase_ == Phase::kIdle) {
-      // Lines 14-15: only start a round when there is something to order or
-      // somebody else already started it.
-      std::string batch;
-      const std::size_t pending = encode_pending(&batch);
-      if (pending == 0 && firsts_.find(round_) == firsts_.end()) break;
-      // Line 6: w-broadcast the estimate (possibly empty, if we were woken by
-      // another process's round-k broadcast). Sub-stage 0 = the round itself.
-      ++metrics_.w_broadcasts;
-      host_.w_broadcast(round_ << kStageBits, std::move(batch));
-      phase_ = Phase::kWaitFirst;
-      continue;
-    }
-
-    if (phase_ == Phase::kWaitFirst) {
-      const auto first_it = firsts_.find(round_);
-      if (first_it == firsts_.end()) break;  // line 7: still waiting
-      // Line 8: propose the first oracle output of this round.
-      Instance& inst = instance(round_);
-      phase_ = Phase::kDeciding;
-      inst.cons->propose(first_it->second);
-      continue;  // propose may have decided synchronously via buffered DECIDE
-    }
-
-    // Phase::kDeciding — waiting for the instance decision upcall.
+    // propose may decide synchronously via a buffered DECIDE: re-evaluate.
+    if (propose_ready()) continue;
+    if (start_next_round()) continue;
     break;
   }
   driving_ = false;
+}
+
+bool CAbcast::propose_ready() {
+  for (auto it = awaiting_first_.begin(); it != awaiting_first_.end(); ++it) {
+    const InstanceId k = *it;
+    const auto first_it = firsts_.find(k);
+    if (first_it == firsts_.end()) continue;  // line 7: still waiting
+    awaiting_first_.erase(it);
+    Instance& inst = instance(k);
+    // Line 8: propose the first oracle output of round k (unless a flooded
+    // decision already settled it).
+    if (inst.cons != nullptr && !inst.decision.has_value()) {
+      inst.cons->propose(first_it->second);
+    }
+    return true;
+  }
+  return false;
+}
+
+bool CAbcast::start_next_round() {
+  if (!recheck_start_ || next_start_ >= round_ + kPipelineWindow) {
+    return false;
+  }
+  const InstanceId s = next_start_;
+  // Lines 14-15: only start a round when there is something to order or
+  // somebody else already started it.
+  std::string batch;
+  const std::size_t pending = encode_pending(s, &batch);
+  if (pending == 0 && firsts_.find(s) == firsts_.end()) {
+    recheck_start_ = false;
+    return false;
+  }
+  // Line 6: w-broadcast the batch (possibly empty, if we were woken by
+  // another process's round-s broadcast). Sub-stage 0 = the round itself.
+  ++metrics_.w_broadcasts;
+  host_.w_broadcast(s << kStageBits, std::move(batch));
+  awaiting_first_.insert(s);
+  ++next_start_;
+  return true;
 }
 
 void CAbcast::complete_round(const Value& decision) {
@@ -215,9 +282,9 @@ void CAbcast::complete_round(const Value& decision) {
     deliver(m);
   }
 
-  firsts_.erase(round_);
   ++round_;
-  phase_ = Phase::kIdle;
+  if (next_start_ < round_) next_start_ = round_;  // caught up past them
+  recheck_start_ = true;
   prune();
 }
 
@@ -231,9 +298,10 @@ void CAbcast::prune() {
                               : it->second->final_metrics;
     instances_.erase(it);
   }
-  while (!firsts_.empty() && firsts_.begin()->first < round_) {
-    firsts_.erase(firsts_.begin());
-  }
+  firsts_.erase(firsts_.begin(), firsts_.lower_bound(round_));
+  in_flight_.erase(in_flight_.begin(), in_flight_.lower_bound(round_));
+  awaiting_first_.erase(awaiting_first_.begin(),
+                        awaiting_first_.lower_bound(round_));
 }
 
 void CAbcast::finalize_metrics() {

@@ -33,9 +33,25 @@
 //  * decisions may arrive (via the DECIDE flood) for rounds this process has
 //    not reached; they are stored and replayed in order — the catch-up path;
 //  * consensus instances older than the current round are pruned; a laggard
-//    never needs their PROPs because the round's decision was flooded.
+//    never needs their PROPs because the round's decision was flooded;
+//  * rounds are pipelined (divergence from the strictly sequential loop of
+//    Alg. 3): up to kPipelineWindow rounds run their w-broadcast and
+//    consensus at once, so a message that arrives while round k decides is
+//    ordered in round k+1 instead of queueing behind k. Decisions are still
+//    a-delivered strictly in round order. Per-sender FIFO is kept by the
+//    sender rule: a new round s leaves out every message whose sender still
+//    has a message in flight in an earlier undecided round (round_ <= r < s)
+//    at this process, except the messages this process already saw in round
+//    s's own datagrams (so a woken process proposes what the originator
+//    did). A message counts as in flight in round r once any round-r
+//    datagram carrying it is w-broadcast or w-delivered here. Under
+//    saturation every sender has something in flight and the rule falls back
+//    to sequential rounds by itself;
+//  * a round's batch is capped in bytes so that its PROP frame fits
+//    runtime::kMaxMessageBytes; the rest rides later rounds.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -67,7 +83,7 @@ class CAbcast final : public AtomicBroadcast {
 
   [[nodiscard]] std::string name() const override { return display_name_; }
 
-  /// Round currently executed (1-based); for tests.
+  /// Next round to a-deliver (1-based); for tests.
   [[nodiscard]] InstanceId current_round() const { return round_; }
 
   /// The per-round batch cap is configured exclusively through
@@ -86,6 +102,14 @@ class CAbcast final : public AtomicBroadcast {
   static constexpr std::uint8_t kConsTag = 1;
   /// Consensus instances this far behind the current round are pruned.
   static constexpr InstanceId kPruneWindow = 4;
+  /// Rounds run at once: rounds [round_, round_ + kPipelineWindow) may be
+  /// w-broadcast and deciding while round_ is not yet a-delivered.
+  static constexpr InstanceId kPipelineWindow = 2;
+  /// Room left in a frame for the C-Abcast and consensus headers around a
+  /// batch (instance tag and id, wire seal, message tag, round, length,
+  /// leader id), so a batch of at most kMaxMessageBytes - kFrameOverhead
+  /// bytes keeps every PROP/DECIDE frame within the transport's limit.
+  static constexpr std::size_t kFrameOverhead = 64;
   /// Oracle instance-id layout: the high bits carry the C-Abcast round, the
   /// low bits a consensus-internal sub-stage (0 = the round's own
   /// w-broadcast, >0 = WabConsensus recovery stages).
@@ -96,28 +120,48 @@ class CAbcast final : public AtomicBroadcast {
   /// ConsensusHost adapter framing instance traffic as [kConsTag][k][bytes].
   class InstanceHost;
 
-  enum class Phase : std::uint8_t {
-    kIdle,       ///< line 14-15: estimate empty, round not started
-    kWaitFirst,  ///< line 7: w-broadcast done, awaiting first oracle output
-    kDeciding,   ///< line 8: consensus running
-  };
-
   Instance& instance(InstanceId k);
   void on_instance_decided(InstanceId k, const Value& v);
+  /// Runs `fn` (a call into a consensus instance) with the step() guard
+  /// held: a decision upcall only records the decision, and the caller's
+  /// step() completes the rounds and prunes once no instance code is on the
+  /// stack. Pruning inside the upcall would free the instance whose code is
+  /// still running.
+  template <typename Fn>
+  void call_instances(Fn&& fn) {
+    const bool outer = driving_;
+    driving_ = true;
+    fn();
+    driving_ = outer;
+  }
   /// Drives the state machine until it blocks on an external event.
   void step();
+  /// Line 8 for the first started round whose first oracle output arrived;
+  /// returns whether it proposed.
+  bool propose_ready();
+  /// Line 6 for round next_start_ (lines 14-15: only when there is something
+  /// to order or another process started it); returns whether it started.
+  bool start_next_round();
   void complete_round(const Value& decision);
   void prune();
-  /// Encodes the pending estimate (not-yet-a-delivered messages, capped by
-  /// max_batch_) directly into msg-set wire format, skipping the intermediate
-  /// MsgSet copy the old batch path built per round. Returns the batch size.
-  std::size_t encode_pending(std::string* out) const;
+  /// Encodes round s's batch straight into msg-set wire format and records
+  /// its ids as in flight in round s. The batch is the estimate minus what
+  /// the sender rule (see header) holds back, in canonical order, capped by
+  /// max_batch_ and by the frame size. Returns the batch size.
+  std::size_t encode_pending(InstanceId s, std::string* out);
 
   consensus::ConsensusFactory factory_;
   std::string display_name_;
 
-  InstanceId round_ = 1;
-  Phase phase_ = Phase::kIdle;
+  InstanceId round_ = 1;       ///< next round to a-deliver
+  InstanceId next_start_ = 1;  ///< next round to w-broadcast (line 6)
+  /// Started rounds still waiting for their first w-delivery (line 7).
+  std::set<InstanceId> awaiting_first_;
+  /// Set by every event that can make round next_start_ startable (a new
+  /// message, an oracle delivery, a completed round); cleared when
+  /// start_next_round finds nothing to start, so consensus traffic does not
+  /// rescan the estimate.
+  bool recheck_start_ = true;
   bool driving_ = false;  ///< re-entrancy guard for step()
   /// Per-round cap on messages w-broadcast (and hence ordered); 0 = whole
   /// estimate per round (the paper's algorithm). Excess messages stay in the
@@ -125,10 +169,14 @@ class CAbcast final : public AtomicBroadcast {
   /// benched in bench_ablation_batch. Set via configure_batching.
   std::size_t max_batch_ = 0;
 
+  /// Every known message not yet a-delivered (lines 12 and 16).
   MsgSet estimate_;
   std::set<MsgId> adelivered_;
   /// First w-delivered oracle value per instance (the consensus proposal).
   std::map<InstanceId, Value> firsts_;
+  /// Per undelivered round: the ids carried by its datagrams that this
+  /// process w-broadcast or w-delivered (the sender rule's input).
+  std::map<InstanceId, std::set<MsgId>> in_flight_;
   std::map<InstanceId, std::unique_ptr<Instance>> instances_;
 };
 

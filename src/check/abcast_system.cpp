@@ -150,7 +150,10 @@ bool AbcastSystem::apply(const Choice& c) {
 }
 
 std::optional<Violation> AbcastSystem::violation() const {
-  return check_abcast(net_.histories(), submitted_);
+  if (auto v = check_abcast(net_.histories(), submitted_)) return v;
+  // FIFO is a C-Abcast guarantee; Paxos-Abcast never promised it.
+  if (spec_.protocol == "paxos") return std::nullopt;
+  return check_fifo(net_.histories(), submitted_);
 }
 
 }  // namespace zdc::check

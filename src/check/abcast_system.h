@@ -1,7 +1,8 @@
 // System-under-check adapter wrapping DirectAbcastNet: atomic broadcast
 // across n processes, with submissions, deliveries, crashes and FD flips as
 // explicit Choices and the Uniform Total Order / Integrity / No-creation
-// invariants checked after every transition.
+// invariants (plus per-sender FIFO on the C-Abcast stacks) checked after
+// every transition.
 #pragma once
 
 #include <optional>

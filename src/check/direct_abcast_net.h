@@ -94,6 +94,10 @@ class DirectAbcastNet {
     return delivered_;
   }
 
+  /// Size of the largest transport message or oracle datagram any process
+  /// has sent so far.
+  [[nodiscard]] std::size_t largest_frame() const { return largest_frame_; }
+
   [[nodiscard]] std::size_t pending(ProcessId from, ProcessId to) const {
     const auto it = edges_.find({from, to});
     return it == edges_.end() ? 0 : it->second.size();
@@ -179,11 +183,13 @@ class DirectAbcastNet {
   struct Host final : abcast::AbcastHost {
     Host(DirectAbcastNet& net, ProcessId self) : net_(net), self_(self) {}
     void send(ProcessId to, std::string bytes) override {
+      net_.note_frame(bytes);
       if (!net_.crashed(self_)) {
         net_.edges_[{self_, to}].push_back(std::move(bytes));
       }
     }
     void broadcast(std::string bytes) override {
+      net_.note_frame(bytes);
       if (net_.crashed(self_)) return;
       const bool equivocate =
           net_.equivocating_ == self_ && !bytes.empty();
@@ -197,6 +203,7 @@ class DirectAbcastNet {
       }
     }
     void w_broadcast(InstanceId k, std::string payload) override {
+      net_.note_frame(payload);
       if (!net_.crashed(self_)) {
         net_.wab_out_[self_].emplace_back(k, std::move(payload));
       }
@@ -207,6 +214,10 @@ class DirectAbcastNet {
     DirectAbcastNet& net_;
     ProcessId self_;
   };
+
+  void note_frame(const std::string& bytes) {
+    largest_frame_ = std::max(largest_frame_, bytes.size());
+  }
 
   GroupParams group_;
   std::vector<std::unique_ptr<Fd>> fds_;
@@ -219,6 +230,7 @@ class DirectAbcastNet {
   std::map<ProcessId, bool> crashed_;
   /// kNoProcess = honest run; otherwise the armed equivocating sender.
   ProcessId equivocating_ = kNoProcess;
+  std::size_t largest_frame_ = 0;
 };
 
 }  // namespace zdc::check

@@ -256,6 +256,35 @@ std::optional<Violation> check_no_creation(
   return std::nullopt;
 }
 
+std::optional<Violation> check_fifo(
+    const std::vector<std::vector<abcast::AppMessage>>& histories,
+    const std::vector<abcast::MsgId>& submitted) {
+  // Each sender's a-broadcasts in call order; seq numbers are per sender.
+  std::map<ProcessId, std::vector<std::uint64_t>> order;
+  for (const abcast::MsgId& id : submitted) order[id.sender].push_back(id.seq);
+  for (std::size_t p = 0; p < histories.size(); ++p) {
+    std::map<ProcessId, std::size_t> next;  // index into order[sender]
+    for (const auto& m : histories[p]) {
+      const auto it = order.find(m.id.sender);
+      if (it == order.end()) continue;  // no-creation reports it
+      std::size_t& i = next[m.id.sender];
+      if (i < it->second.size() && it->second[i] == m.id.seq) {
+        ++i;
+        continue;
+      }
+      const std::string expected =
+          i < it->second.size() ? std::to_string(it->second[i]) : "none";
+      return Violation{"fifo",
+                       "p" + std::to_string(p) + " delivered message (" +
+                           std::to_string(m.id.sender) + "," +
+                           std::to_string(m.id.seq) + ") while sender " +
+                           std::to_string(m.id.sender) + "'s next was seq " +
+                           expected};
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<Violation> check_abcast(
     const std::vector<std::vector<abcast::AppMessage>>& histories,
     const std::vector<abcast::MsgId>& submitted) {

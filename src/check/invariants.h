@@ -28,6 +28,9 @@
 //   - Uniform Total Order: delivery histories are pairwise prefix-consistent.
 //   - Uniform Integrity: no message delivered twice at one process.
 //   - No creation: every delivered message was a-broadcast.
+//   - Per-sender FIFO (C-Abcast stacks only; Paxos-Abcast never promised
+//     it): a process delivers a sender's messages in the order the sender
+//     a-broadcast them, with no gaps.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +48,8 @@ namespace zdc::check {
 
 /// One violated invariant. `invariant` is a stable machine-readable name
 /// ("agreement", "validity", "integrity", "one-step", "zero-degradation",
-/// "termination", "total-order", "duplication", "creation") used by replay
-/// files and --expect-violation; `detail` is for humans.
+/// "termination", "total-order", "duplication", "creation", "fifo") used by
+/// replay files and --expect-violation; `detail` is for humans.
 struct Violation {
   std::string invariant;
   std::string detail;
@@ -178,6 +181,13 @@ std::optional<Violation> check_no_duplicates(
     const std::vector<std::vector<abcast::AppMessage>>& histories);
 /// No creation: every delivered message id was actually a-broadcast.
 std::optional<Violation> check_no_creation(
+    const std::vector<std::vector<abcast::AppMessage>>& histories,
+    const std::vector<abcast::MsgId>& submitted);
+
+/// Per-sender FIFO: at every process, the messages of each sender form a
+/// prefix of that sender's a-broadcasts, in a-broadcast order (`submitted`
+/// lists every a-broadcast id in call order).
+std::optional<Violation> check_fifo(
     const std::vector<std::vector<abcast::AppMessage>>& histories,
     const std::vector<abcast::MsgId>& submitted);
 

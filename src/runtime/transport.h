@@ -15,6 +15,7 @@
 //   * after crash(p), p neither sends nor receives.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -38,6 +39,12 @@ enum class Channel : std::uint8_t {
 [[nodiscard]] constexpr bool is_reliable(Channel channel) {
   return channel == Channel::kProtocol || channel == Channel::kCatchup;
 }
+
+/// Largest message one send/broadcast may carry. UdpNetwork puts each
+/// message in one datagram (this plus its own header) and aborts on anything
+/// larger; C-Abcast caps its batches so its w-broadcast and PROP frames stay
+/// at or under it.
+inline constexpr std::size_t kMaxMessageBytes = 60000;
 
 struct Delivery {
   Channel channel = Channel::kProtocol;

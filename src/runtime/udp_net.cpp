@@ -26,7 +26,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint8_t kTypeData = 0;
 constexpr std::uint8_t kTypeAck = 1;
-constexpr std::size_t kMaxDatagram = 60000;
+/// Datagram header: type u8, channel u8, sender u32, seq u64, wab instance u64.
+constexpr std::size_t kHeaderBytes = 22;
+constexpr std::size_t kMaxDatagram = kMaxMessageBytes + kHeaderBytes;
 
 Clock::time_point after_ms(double ms) {
   return Clock::now() + std::chrono::duration_cast<Clock::duration>(

@@ -1,6 +1,7 @@
 // Message-level unit tests for the C-Abcast skeleton (Algorithm 3): round
 // progression, the empty-round gating of lines 14-15, estimate merging (line
-// 16), catch-up through flooded decisions, and instance pruning.
+// 16), catch-up through flooded decisions, instance pruning, round
+// pipelining with the per-sender FIFO rule, and the frame-size batch cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +9,9 @@
 #include <string>
 
 #include "abcast/c_abcast.h"
+#include "check/invariants.h"
 #include "direct_abcast_harness.h"
+#include "runtime/transport.h"
 
 namespace zdc::testing {
 namespace {
@@ -181,6 +184,126 @@ TEST(CAbcastUnit, MalformedTransportAndOracleInputIgnored) {
   net.a_broadcast(0, "still-works");
   net.settle();
   EXPECT_EQ(net.delivered(0).size(), 1u);
+}
+
+// Delivers oracle datagrams (to `group` only) and transport messages among
+// `group` until nothing moves; traffic from or to anyone else stays queued.
+void settle_among(DirectAbcastNet& net, const std::vector<ProcessId>& group) {
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (ProcessId from : group) {
+      // A partial oracle delivery re-queues the datagram: deliver each
+      // datagram queued now once.
+      for (std::size_t i = net.pending_wab(from); i > 0; --i) {
+        net.deliver_wab(from, &group);
+      }
+      for (ProcessId to : group) {
+        while (net.deliver_one(from, to)) progressed = true;
+      }
+    }
+  }
+}
+
+TEST(CAbcastUnit, LateMessageCompletingManyBufferedRoundsIsSafe) {
+  // p3 proposes in round 1 and then hears only the decisions of rounds 2..6;
+  // the late message that decides round 1 there moves its round past
+  // 1 + kPruneWindow in one go. Pruning used to run inside the decision
+  // upcall and free instance 1 while L-Consensus was still executing on it
+  // (a heap-use-after-free under ASan).
+  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  net.set_leader_everywhere(0);
+  const std::vector<ProcessId> trio = {0, 1, 2};
+  net.a_broadcast(0, "m1");
+  ASSERT_TRUE(net.deliver_wab(0));  // everyone proposes p0's batch
+  settle_among(net, trio);          // round 1 decides among p0..p2
+  for (ProcessId p : trio) ASSERT_EQ(net.delivered(p).size(), 1u);
+  // p3 gets the round-1 PROPs of p0 and p1 (two of the three it needs) and
+  // loses the rest of round 1, the DECIDEs included.
+  ASSERT_TRUE(net.deliver_one(0, 3));
+  ASSERT_TRUE(net.deliver_one(1, 3));
+  for (ProcessId p : trio) net.drop_edge(p, 3);
+  for (int k = 2; k <= 6; ++k) {
+    net.a_broadcast(0, "m" + std::to_string(k));
+    settle_among(net, trio);
+  }
+  for (ProcessId p : trio) ASSERT_EQ(net.delivered(p).size(), 6u);
+  // Rounds 2..6 reach p3: their decisions are buffered behind round 1.
+  for (ProcessId p : trio) {
+    while (net.deliver_one(p, 3)) {
+    }
+  }
+  EXPECT_TRUE(net.delivered(3).empty());
+  // p3's own round-1 PROP completes its quorum: round 1 decides inside
+  // L-Consensus, and rounds 1..6 complete at once.
+  ASSERT_TRUE(net.deliver_one(3, 3));
+  ASSERT_EQ(net.delivered(3).size(), 6u);
+  EXPECT_EQ(as_cabcast(net.protocol(3)).current_round(), 7u);
+  net.settle();
+  EXPECT_TRUE(net.total_order_ok());
+  EXPECT_FALSE(check::check_fifo(net.histories(), net.submitted()).has_value());
+}
+
+TEST(CAbcastUnit, SecondSenderStartsNextRoundBeforeFirstDecides) {
+  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  net.a_broadcast(0, "a");
+  // Everyone w-delivers p0's round-1 batch and proposes it; the PROPs stay
+  // queued, so round 1 is undecided everywhere.
+  ASSERT_TRUE(net.deliver_wab(0));
+  ASSERT_EQ(net.pending_wab(1), 1u);  // p1's round-1 datagram
+  // p1's own message does not wait for round 1: p1 w-broadcasts round 2.
+  net.a_broadcast(1, "b");
+  EXPECT_EQ(net.pending_wab(1), 2u);
+  // p0's next message does wait: its "a" is still in flight in round 1.
+  net.a_broadcast(0, "a2");
+  EXPECT_EQ(net.pending_wab(0), 0u);
+  for (ProcessId p = 0; p < 4; ++p) EXPECT_TRUE(net.delivered(p).empty());
+  net.settle();
+  for (ProcessId p = 0; p < 4; ++p) {
+    ASSERT_EQ(net.delivered(p).size(), 3u) << "p" << p;
+  }
+  EXPECT_TRUE(net.total_order_ok());
+  EXPECT_FALSE(check::check_fifo(net.histories(), net.submitted()).has_value());
+}
+
+TEST(CAbcastUnit, SenderFifoSurvivesLosingACollision) {
+  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  net.set_leader_everywhere(1);
+  const abcast::MsgId a1 = net.a_broadcast(0, "a1");
+  const abcast::MsgId c = net.a_broadcast(3, "c");
+  // Round 1 collides: p1..p3 see p3's batch first (and decide it with their
+  // leader p1), p0 sees its own.
+  const std::vector<ProcessId> others = {1, 2, 3};
+  const std::vector<ProcessId> self = {0};
+  ASSERT_TRUE(net.deliver_wab(3, &others));
+  ASSERT_TRUE(net.deliver_wab(0, &self));
+  // p0's next message arrives while a1 is in flight in round 1. It must not
+  // overtake a1, which round 1 is about to leave out.
+  const abcast::MsgId a2 = net.a_broadcast(0, "a2");
+  net.settle();
+  for (ProcessId p = 0; p < 4; ++p) {
+    const auto& h = net.delivered(p);
+    ASSERT_EQ(h.size(), 3u) << "p" << p;
+    EXPECT_EQ(h[0].id, c) << "p" << p;
+    EXPECT_EQ(h[1].id, a1) << "p" << p;
+    EXPECT_EQ(h[2].id, a2) << "p" << p;
+  }
+  EXPECT_TRUE(net.total_order_ok());
+  EXPECT_FALSE(check::check_fifo(net.histories(), net.submitted()).has_value());
+}
+
+TEST(CAbcastUnit, BatchesStayWithinTheTransportFrameLimit) {
+  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  const std::string kib(1024, 'x');
+  for (int i = 0; i < 200; ++i) {
+    net.a_broadcast(static_cast<ProcessId>(i % 4), kib + std::to_string(i));
+  }
+  net.settle();
+  EXPECT_LE(net.largest_frame(), runtime::kMaxMessageBytes);
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(net.delivered(p).size(), 200u) << "p" << p;
+  }
+  EXPECT_TRUE(net.total_order_ok());
+  EXPECT_FALSE(check::check_fifo(net.histories(), net.submitted()).has_value());
 }
 
 }  // namespace

@@ -184,6 +184,16 @@ TEST(Invariants, TotalOrderAndDuplicationCatchBrokenHistories) {
   EXPECT_FALSE(check_no_creation({{m0}}, {m0.id, m1.id}).has_value());
 }
 
+TEST(Invariants, FifoCatchesReorderedAndSkippedSenderMessages) {
+  const abcast::AppMessage a1{{0, 1}, "a1"};
+  const abcast::AppMessage a2{{0, 2}, "a2"};
+  const abcast::AppMessage b1{{1, 1}, "b1"};
+  const std::vector<abcast::MsgId> submitted = {a1.id, b1.id, a2.id};
+  EXPECT_FALSE(check_fifo({{a1, b1, a2}, {b1, a1}, {}}, submitted).has_value());
+  EXPECT_TRUE(check_fifo({{a2, a1}}, submitted).has_value());  // reordered
+  EXPECT_TRUE(check_fifo({{b1, a2}}, submitted).has_value());  // a1 skipped
+}
+
 // --- replay files ---
 
 TEST(Invariants, CorruptionLedgerMustBalanceWhenChecksumsOn) {

@@ -78,13 +78,21 @@ struct Golden {
 // are unchanged because the seal covers Consensus-layer point-to-point
 // frames only, and PaxosAbcast is a monolithic abcast protocol with its own
 // wire format — none of its traffic crosses the sealed seam.
+// The six C-Abcast rows (c-l, c-p, wabcast) were re-pinned again when
+// C-Abcast started pipelining rounds (kPipelineWindow = 2): a message that
+// arrives while a round decides now starts the next round at once instead
+// of waiting, which moves the schedule of every seed with such an arrival.
+// At seed 42 the same events happen earlier (equal counts, new hashes); at
+// seed 7 more rounds run, because messages that used to share a batch now
+// get a round each. The Paxos rows do not move: PaxosAbcast does not
+// share the C-Abcast code.
 constexpr Golden kGolden[] = {
-    {"c-l", 42, 5233, 0x949bab2bbe9a9b42ULL},
-    {"c-l", 7, 5181, 0xd44cc5c63a8567a1ULL},
-    {"c-p", 42, 5230, 0x9d07985b7af831ceULL},
-    {"c-p", 7, 5161, 0x1f7b02785ed9f1bULL},
-    {"wabcast", 42, 5230, 0x9d07985b7af831ceULL},
-    {"wabcast", 7, 5231, 0x8f9b30494c942845ULL},
+    {"c-l", 42, 5233, 0xe3ef273b6ad25043ULL},
+    {"c-l", 7, 5396, 0xc7c36896a146b432ULL},
+    {"c-p", 42, 5230, 0x48d0ccd9e6cc7db8ULL},
+    {"c-p", 7, 5406, 0xf10c6379d7fdf842ULL},
+    {"wabcast", 42, 5230, 0x48d0ccd9e6cc7db8ULL},
+    {"wabcast", 7, 5458, 0xa64432f0f3bf9071ULL},
     {"paxos", 42, 2817, 0xdf466385a3e2634cULL},
     {"paxos", 7, 2816, 0xa2ca9e60e13655fcULL},
 };

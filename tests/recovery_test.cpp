@@ -4,7 +4,8 @@
 // its promise and is driven, deterministically, into an agreement violation
 // across incarnations. The last section replays the same story on the
 // threaded runtime: real worker threads, heartbeat ◇P, and a transport-level
-// crash/restart through ConsensusRunner.
+// crash/restart through ConsensusRunner, and (disabled, see there) checks
+// that a replica restarted through recovery::ReplicaGroup heartbeats again.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +18,9 @@
 #include "common/stable_storage.h"
 #include "consensus/paxos.h"
 #include "consensus/recovering_paxos.h"
+#include "core/kv_store.h"
 #include "direct_harness.h"
+#include "recovery/replica_group.h"
 #include "runtime/consensus_runner.h"
 #include "runtime/inproc_net.h"
 #include "sim/consensus_world.h"
@@ -243,6 +246,46 @@ TEST(RecoveringPaxosRuntime, LeaderBounceOnRealThreadsRejoinsAndDecides) {
   EXPECT_FALSE(runner.agreement_violated());
   EXPECT_EQ(runner.decision(0), runner.decision(1));
   EXPECT_EQ(runner.decision(1), runner.decision(2));
+}
+
+// A replica restarted through ReplicaGroup should re-arm its heartbeat chain
+// (which died with the crash), or every peer keeps suspecting it forever and
+// its own Ω stays at its pre-crash view. Disabled until a restarted replica's
+// atomic broadcast can rejoin: ReplicaGroup::restart keeps the pre-crash
+// C-Abcast object, which missed every round decided while it was down and
+// never proposes again. Re-arming the heartbeat (scheduling
+// HeartbeatFd::restart_on_worker on the restarted worker, as
+// ConsensusRunner::restart does) makes the restarted replica 0 the Ω leader
+// again, and L-Consensus then waits forever for its PROP: writes submitted
+// after the restart stall, and the kv-failover-ordered benchmark hangs.
+TEST(ReplicaGroupRestart, DISABLED_PeersUnsuspectTheRestartedReplica) {
+  constexpr ProcessId kVictim = 0;
+  recovery::ReplicaGroup group(
+      zdc::RunOptions{}.with_group(4, 1).with_seed(5),
+      [](ProcessId) { return std::make_unique<core::KvStateMachine>(); });
+  group.start();
+  runtime::RuntimeCluster& cluster = group.cluster();
+  const auto peers_suspect_victim = [&](bool want) {
+    for (ProcessId p = 0; p < 4; ++p) {
+      if (p == kVictim) continue;
+      if (cluster.node(p).failure_detector().suspects(kVictim) != want) {
+        return false;
+      }
+    }
+    return true;
+  };
+  group.crash(kVictim);
+  ASSERT_TRUE(runtime::RuntimeCluster::wait_until(
+      [&] { return peers_suspect_victim(true); }, 10000.0));
+  static_cast<void>(group.restart(kVictim));
+  // One heartbeat revokes a suspicion, so this takes about one heartbeat
+  // interval; the bound leaves room for slow sanitizer builds.
+  const double bound_ms =
+      10 * runtime::HeartbeatFd::Config{}.initial_timeout_ms;
+  EXPECT_TRUE(runtime::RuntimeCluster::wait_until(
+      [&] { return peers_suspect_victim(false); }, bound_ms))
+      << "peers still suspect the restarted replica";
+  group.shutdown();
 }
 
 }  // namespace
