@@ -18,8 +18,10 @@
 #include <cstdio>
 #include <string>
 
+#include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "sim/abcast_world.h"
+#include "sim/consensus_world.h"
 #include "sim/trace.h"
 
 namespace zdc::sim {
@@ -110,6 +112,81 @@ TEST(GoldenTrace, PinnedFingerprintsUnchanged) {
     EXPECT_EQ(fnv1a(serialize(trace)), g.hash)
         << g.protocol << " seed " << g.seed
         << ": trace bytes diverged from the pinned golden run";
+  }
+}
+
+// Single-instance consensus rows: three protocols fault-free, L-Consensus
+// under a plan that uses every fault verb the consensus world injects,
+// crash-recovery Paxos through a crash and restart, and an L-Consensus
+// coordinator that crashes halfway through its first broadcast. Recorded
+// before the simulator worlds moved onto one shared fabric; that move is
+// required to leave every one of these traces byte-identical.
+struct GoldenConsensus {
+  const char* name;
+  const char* protocol;
+  std::size_t events;
+  std::uint64_t hash;
+};
+
+ConsensusRunConfig golden_consensus_config(const std::string& name) {
+  ConsensusRunConfig cfg;
+  cfg.group = GroupParams{4, 1};
+  cfg.net = calibrated_lan_2006();
+  cfg.seed = 17;
+  cfg.proposals = {"v0", "v1", "v2", "v3"};
+  if (name == "l-plan") {
+    cfg.fd.mode = FdMode::kCrashTracking;
+    cfg.fd.detection_delay_ms = 1.0;
+    cfg.propose_times = {0.5, 0.5, 0.5, 0.5};
+    std::string err;
+    const bool ok = fault::parse_fault_plan(
+        "@0.1 flip 0 1 count=2\n"
+        "@0.1 equivocate 0 count=1\n"
+        "@0.1 scorrupt 2 count=1\n"
+        "@0.2 partition 0 1 | 2 3\n"
+        "@0.4 pause 3\n"
+        "@1.5 heal\n"
+        "@2.5 resume 3\n"
+        "@3 crash 1\n",
+        &cfg.fault_plan, &err);
+    EXPECT_TRUE(ok) << err;
+  } else if (name == "rec-paxos-restart") {
+    CrashSpec c;
+    c.p = 0;
+    c.time = 0.2;
+    c.restart_time = 0.7;
+    cfg.crashes.push_back(c);
+  } else if (name == "l-truncated") {
+    CrashSpec c;
+    c.p = 0;
+    c.truncate_broadcast_index = 1;
+    c.partial_targets = {0, 1};
+    cfg.crashes.push_back(c);
+    cfg.fd.mode = FdMode::kCrashTracking;
+  }
+  return cfg;
+}
+
+constexpr GoldenConsensus kGoldenConsensus[] = {
+    {"l", "l", 89, 0x511461b97991298eULL},
+    {"p", "p", 88, 0xf2bd3998290a10b1ULL},
+    {"paxos", "paxos", 51, 0x0aff0dd92deb02d4ULL},
+    {"l-plan", "l", 99, 0x6b5a139e4e64eaebULL},
+    {"rec-paxos-restart", "rec-paxos", 69, 0x7fccd6acbdba3086ULL},
+    {"l-truncated", "l", 114, 0xc063e24acc100daeULL},
+};
+
+TEST(GoldenTrace, PinnedConsensusFingerprintsUnchanged) {
+  for (const GoldenConsensus& g : kGoldenConsensus) {
+    ConsensusRunConfig cfg = golden_consensus_config(g.name);
+    TraceRecorder trace;
+    cfg.trace = &trace;
+    auto r = run_consensus(cfg, consensus_factory_by_name(g.protocol));
+    ASSERT_TRUE(r.safe()) << g.name;
+    ASSERT_TRUE(r.all_correct_decided) << g.name;
+    EXPECT_EQ(trace.events().size(), g.events) << g.name;
+    EXPECT_EQ(fnv1a(serialize(trace)), g.hash)
+        << g.name << ": trace bytes diverged from the pinned golden run";
   }
 }
 
