@@ -43,9 +43,10 @@ run_static() {
   scripts/format_check.sh "$PWD"
 }
 
-# Metrics stage: the exporter determinism contract, end to end. Two
-# fixed-seed sim runs must emit byte-identical metrics JSON, and both the
-# sim and runtime documents must pass the zdc-metrics-v1 schema validator.
+# Metrics stage: the exporter determinism contract, end to end. Fixed-seed
+# sim runs (plain abcast, abcast under a flip/equivocate plan, sequence)
+# must emit byte-identical metrics JSON and reports, and both the sim and
+# runtime documents must pass the zdc-metrics-v1 schema validator.
 run_metrics() {
   echo "=== metrics: build zdc_explore"
   cmake -B build -S . > /dev/null
@@ -56,8 +57,24 @@ run_metrics() {
   "$explore" abcast --seed 42 --messages 60 --metrics-out "$out/a.json" > /dev/null
   "$explore" abcast --seed 42 --messages 60 --metrics-out "$out/b.json" > /dev/null
   cmp "$out/a.json" "$out/b.json"
+  # Corruption runs through the shared sim fabric: same seed, same plan,
+  # same bytes — report and metrics alike. And the sequence world, which
+  # records through the same trace/counter funnel.
+  local plan="@0.1 flip 0 1 count=5;@0.1 equivocate 2 count=3" run
+  for run in c d; do
+    "$explore" abcast --seed 3 --messages 200 --plan-text "$plan" \
+      --metrics-out "$out/$run.json" > "$out/$run.txt"
+    "$explore" sequence --seed 31 --crash-before 4 \
+      --metrics-out "$out/seq-$run.json" > "$out/seq-$run.txt"
+  done
+  cmp "$out/c.json" "$out/d.json"
+  cmp "$out/c.txt" "$out/d.txt"
+  cmp "$out/seq-c.json" "$out/seq-d.json"
+  cmp "$out/seq-c.txt" "$out/seq-d.txt"
   echo "=== metrics: schema validation (sim + runtime)"
   "$explore" validate-metrics "$out/a.json"
+  "$explore" validate-metrics "$out/c.json"
+  "$explore" validate-metrics "$out/seq-c.json"
   "$explore" runtime c-l --messages 30 --throughput 2000 \
     --metrics-out "$out/runtime.json" > /dev/null
   "$explore" validate-metrics "$out/runtime.json"

@@ -63,6 +63,9 @@ struct AbcastMetrics {
   std::uint64_t w_broadcasts = 0;
   std::uint64_t consensus_instances = 0;
   common::ProtocolMetrics transport;  ///< unicasts/bytes incl. sub-consensus
+  /// Frames whose integrity seal failed (common::open_frame) and were
+  /// dropped before decoding; always 0 for protocols without a seal.
+  std::uint64_t corrupt_frames_dropped = 0;
 };
 
 class AtomicBroadcast {

@@ -35,12 +35,14 @@ class CAbcast::InstanceHost final : public consensus::ConsensusHost {
   }
 
  private:
+  /// Seals the whole frame, round id included: a flip in [kConsTag][k]
+  /// must not re-route a valid body to another round's instance.
   [[nodiscard]] std::string wrap(std::string bytes) const {
-    common::Encoder enc;
+    common::Encoder enc(1 + 8 + bytes.size());
     enc.put_u8(kConsTag);
     enc.put_u64(k_);
     enc.put_raw(bytes);
-    return enc.take();
+    return common::seal_frame(enc.take());
   }
 
   CAbcast& outer_;
@@ -68,6 +70,8 @@ CAbcast::Instance& CAbcast::instance(InstanceId k) {
   if (it == instances_.end()) {
     auto inst = std::make_unique<Instance>(*this, k);
     inst->cons = factory_(self_, group_, inst->host);
+    // The C-Abcast frame carries the one seal (InstanceHost::wrap).
+    inst->cons->set_frame_checksums(false);
     ++metrics_.consensus_instances;
     it = instances_.emplace(k, std::move(inst)).first;
   }
@@ -82,7 +86,12 @@ void CAbcast::submit(AppMessage m) {
 }
 
 void CAbcast::on_message(ProcessId from, std::string_view bytes) {
-  common::Decoder dec(bytes);
+  std::string_view frame;
+  if (!common::open_frame(bytes, &frame)) {
+    ++metrics_.corrupt_frames_dropped;
+    return;
+  }
+  common::Decoder dec(frame);
   const std::uint8_t tag = dec.get_u8();
   const InstanceId k = dec.get_u64();
   if (!dec.ok() || tag != kConsTag || k == 0) return;  // malformed

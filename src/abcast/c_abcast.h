@@ -48,7 +48,11 @@
 //    saturation every sender has something in flight and the rule falls back
 //    to sequential rounds by itself;
 //  * a round's batch is capped in bytes so that its PROP frame fits
-//    runtime::kMaxMessageBytes; the rest rides later rounds.
+//    runtime::kMaxMessageBytes; the rest rides later rounds;
+//  * the CRC seal (common::seal_frame) covers the whole frame, the
+//    [kConsTag][k] header included, and the instances run unsealed: a flip
+//    in the round id is a counted drop (metrics().corrupt_frames_dropped),
+//    never a valid body handed to another round.
 #pragma once
 
 #include <cstddef>
@@ -117,7 +121,8 @@ class CAbcast final : public AtomicBroadcast {
   static constexpr InstanceId kStageMask = (InstanceId{1} << kStageBits) - 1;
 
   struct Instance;
-  /// ConsensusHost adapter framing instance traffic as [kConsTag][k][bytes].
+  /// ConsensusHost adapter framing instance traffic as
+  /// seal([kConsTag][k][bytes]); the instances themselves run unsealed.
   class InstanceHost;
 
   Instance& instance(InstanceId k);

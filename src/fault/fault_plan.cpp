@@ -80,6 +80,42 @@ bool FaultPlan::settles() const {
   return !links_faulted && paused.empty();
 }
 
+bool check_plan(const FaultPlan& plan, std::uint32_t n, std::string* error) {
+  for (const FaultAction& a : plan.actions) {
+    std::vector<ProcessId> named;
+    switch (a.kind) {
+      case FaultKind::kHeal:
+        break;
+      case FaultKind::kPartition:
+        named = a.group;
+        break;
+      case FaultKind::kLink:
+      case FaultKind::kFlip:
+        named = {a.p, a.q};
+        break;
+      case FaultKind::kIsolate:
+      case FaultKind::kPause:
+      case FaultKind::kResume:
+      case FaultKind::kCrash:
+      case FaultKind::kRestart:
+      case FaultKind::kEquivocate:
+      case FaultKind::kStateCorrupt:
+        named = {a.p};
+        break;
+    }
+    for (ProcessId p : named) {
+      if (p >= n) {
+        if (error != nullptr) {
+          *error = "'" + to_string(a) + "': process " + std::to_string(p) +
+                   " out of range for n=" + std::to_string(n);
+        }
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 bool apply_to_policy(const FaultAction& action, LinkPolicy& policy) {
   switch (action.kind) {
     case FaultKind::kPartition:

@@ -100,6 +100,14 @@ struct FaultPlan {
   [[nodiscard]] bool settles() const;
 };
 
+/// Checks the plan against a group of n processes: every process an action
+/// names (subject, link end, partition member) must be < n. On failure
+/// returns false and, if `error` is given, stores a one-line diagnostic
+/// naming the offending action. Executors index per-process tables with
+/// these ids, so a plan must pass this before it runs.
+bool check_plan(const FaultPlan& plan, std::uint32_t n,
+                std::string* error = nullptr);
+
 /// Applies a link-shaped or pause-shaped action to the policy. Returns false
 /// (and does nothing) for kCrash/kRestart, which the executor must handle.
 bool apply_to_policy(const FaultAction& action, LinkPolicy& policy);

@@ -10,44 +10,34 @@
 #include "abcast/paxos_abcast.h"
 #include "common/assert.h"
 #include "common/log.h"
-#include "sim/event_queue.h"
-#include "sim/sim_metrics.h"
 
 namespace zdc::sim {
 
 namespace {
 
-class AbcastWorld {
+class AbcastWorld final : public FabricClient {
  public:
   AbcastWorld(const AbcastRunConfig& cfg, const SimAbcastFactory& factory)
       : cfg_(cfg),
         rng_(cfg.seed),
-        lan_(cfg.net, cfg.group.n, rng_.fork(0x22)),
-        workload_rng_(rng_.fork(0x33)),
-        fd_(cfg.fd, cfg.group.n, events_,
-            [this](ProcessId p) { notify_fd_change(p); }),
-        policy_(cfg.group.n),
-        blocked_(static_cast<std::size_t>(cfg.group.n) * cfg.group.n),
-        paused_work_(cfg.group.n) {
-    lan_.set_link_policy(&policy_);
+        fabric_(cfg, rng_.fork(0x22), cfg.fault_plan, *this),
+        workload_rng_(rng_.fork(0x33)) {
     build(factory);
   }
 
   AbcastRunResult run();
 
  private:
-  struct Node;
-
   struct Host final : abcast::AbcastHost {
     Host(AbcastWorld& world, ProcessId self) : world_(world), self_(self) {}
     void send(ProcessId to, std::string bytes) override {
-      world_.unicast(self_, to, std::move(bytes));
+      world_.fabric_.unicast(self_, to, std::move(bytes));
     }
     void broadcast(std::string bytes) override {
-      world_.broadcast(self_, std::move(bytes));
+      world_.fabric_.broadcast(self_, std::move(bytes));
     }
     void w_broadcast(InstanceId k, std::string payload) override {
-      world_.wab_broadcast(self_, k, std::move(payload));
+      world_.fabric_.w_broadcast(self_, k, std::move(payload));
     }
     void a_deliver(const abcast::AppMessage& m) override {
       world_.record_delivery(self_, m);
@@ -59,46 +49,35 @@ class AbcastWorld {
   struct Node {
     std::unique_ptr<Host> host;
     std::unique_ptr<abcast::AtomicBroadcast> protocol;
-    bool crashed = false;
     std::vector<abcast::MsgId> history;  ///< delivery order
     std::set<abcast::MsgId> delivered;
     bool duplicate_delivery = false;
+    bool altered_delivery = false;  ///< a payload differing from the sent one
   };
+
+  void on_message(ProcessId from, ProcessId to,
+                  const std::string& bytes) override {
+    nodes_[to].protocol->on_message(from, bytes);
+  }
+  void on_w_deliver(ProcessId from, ProcessId to, std::uint64_t stage,
+                    const std::string& body) override {
+    nodes_[to].protocol->on_w_deliver(stage, from, body);
+  }
+  void on_fd_change(ProcessId p) override {
+    // The detectors' t=0 output arrives before the protocols exist.
+    if (nodes_[p].protocol != nullptr) nodes_[p].protocol->on_fd_change();
+  }
 
   void build(const SimAbcastFactory& factory);
   void schedule_workload();
-  void unicast(ProcessId from, ProcessId to, std::string bytes);
-  void broadcast(ProcessId from, std::string bytes);
-  void wab_broadcast(ProcessId from, InstanceId k, std::string payload);
-  void deliver_transport(ProcessId from, ProcessId to, TimePoint tx_end,
-                         const std::shared_ptr<const std::string>& bytes);
   void record_delivery(ProcessId p, const abcast::AppMessage& m);
-  void notify_fd_change(ProcessId p);
-  void crash(ProcessId p);
-  void apply_fault(const fault::FaultAction& a);
-  void run_on_node(ProcessId p, std::function<void()> fn);
-  void release_unblocked();
-  void release_paused(ProcessId p);
   [[nodiscard]] bool workload_complete() const;
-
-  void trace(TraceKind kind, ProcessId subject, ProcessId peer = kNoProcess,
-             std::string detail = {}) {
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->record(events_.now(), kind, subject, peer, std::move(detail));
-    }
-    note_kind(kind_counters_, kind, subject);
-  }
 
   const AbcastRunConfig& cfg_;
   common::Rng rng_;
-  EventQueue events_;
-  LanModel lan_;
+  Fabric fabric_;
   common::Rng workload_rng_;
-  FdSim fd_;
   std::vector<Node> nodes_;
-  fault::LinkPolicy policy_;
-  std::vector<std::vector<std::shared_ptr<const std::string>>> blocked_;
-  std::vector<std::vector<std::function<void()>>> paused_work_;
   /// Processes crashed by either CrashSpec or the fault plan — such senders'
   /// messages are not owed to everyone unless actually delivered somewhere.
   std::vector<bool> ever_crashes_;
@@ -108,59 +87,46 @@ class AbcastWorld {
     TimePoint first_delivery = -1.0;
     TimePoint sender_delivery = -1.0;
     std::uint32_t index = 0;  ///< submission index, for warmup filtering
+    std::string payload;      ///< as a-broadcast, for the integrity check
   };
   std::map<abcast::MsgId, Tracked> tracked_;
   /// Messages every correct process must eventually deliver: everything sent
   /// by a process that never crashes, plus everything delivered anywhere.
   std::set<abcast::MsgId> expected_;
   std::uint32_t submitted_ = 0;
-  /// Per-(kind, process) counters; empty when cfg_.metrics == nullptr.
-  KindCounters kind_counters_;
 };
 
 void AbcastWorld::build(const SimAbcastFactory& factory) {
   const std::uint32_t n = cfg_.group.n;
+  ZDC_ASSERT_MSG(!cfg_.fault_plan.has(fault::FaultKind::kRestart),
+                 "AbcastWorld is crash-stop; no restart support");
   nodes_.resize(n);
-  kind_counters_ = register_kind_counters(cfg_.metrics, n);
-
-  std::vector<bool> initially_crashed(n, false);
-  for (const CrashSpec& c : cfg_.crashes) {
-    ZDC_ASSERT(c.p < n);
-    if (c.initial) initially_crashed[c.p] = true;
-  }
-
   for (ProcessId p = 0; p < n; ++p) {
-    Node& node = nodes_[p];
-    node.host = std::make_unique<Host>(*this, p);
-    node.crashed = initially_crashed[p];
+    nodes_[p].host = std::make_unique<Host>(*this, p);
   }
-  fd_.initialize(initially_crashed);
+  fabric_.start(cfg_.crashes);
   // Protocols are created after the FD holds its t=0 output: Paxos-Abcast
   // reads Ω in its constructor.
   for (ProcessId p = 0; p < n; ++p) {
     nodes_[p].protocol = factory(p, cfg_.group, *nodes_[p].host,
-                                 fd_.omega_view(p), fd_.suspect_view(p));
+                                 fabric_.fd().omega_view(p),
+                                 fabric_.fd().suspect_view(p));
     // Batching knobs: the factory signature is protocol-agnostic, so the
     // world applies them via the concrete types (defaults = legacy).
     abcast::configure_batching(*nodes_[p].protocol, cfg_.batching);
   }
 
-  for (const CrashSpec& c : cfg_.crashes) {
-    ZDC_ASSERT_MSG(c.truncate_broadcast_index == 0,
-                   "broadcast truncation is a ConsensusWorld-only feature");
-    if (!c.initial) {
-      events_.at(c.time, [this, p = c.p] { crash(p); });
-    }
-  }
-
   ever_crashes_.assign(n, false);
-  for (const CrashSpec& c : cfg_.crashes) ever_crashes_[c.p] = true;
-  for (const fault::FaultAction& a : cfg_.fault_plan.actions) {
-    ZDC_ASSERT_MSG(a.kind != fault::FaultKind::kRestart,
+  for (const CrashSpec& c : cfg_.crashes) {
+    ZDC_ASSERT_MSG(c.restart_time < 0.0,
                    "AbcastWorld is crash-stop; no restart support");
-    if (a.kind == fault::FaultKind::kCrash) ever_crashes_[a.p] = true;
-    events_.at(a.time, [this, a] { apply_fault(a); });
+    ever_crashes_[c.p] = true;
   }
+  fabric_.schedule_crashes(cfg_.crashes);
+  for (const fault::FaultAction& a : cfg_.fault_plan.actions) {
+    if (a.kind == fault::FaultKind::kCrash) ever_crashes_[a.p] = true;
+  }
+  fabric_.schedule_plan();
 
   schedule_workload();
 }
@@ -171,17 +137,17 @@ void AbcastWorld::schedule_workload() {
   for (std::uint32_t i = 0; i < cfg_.message_count; ++i) {
     t += workload_rng_.exponential(mean_gap_ms);
     const std::uint32_t index = i;
-    events_.at(t, [this, index] {
+    fabric_.events().at(t, [this, index] {
       // Uniform random sender among the currently-alive eligible processes
       // (paused processes cannot execute, so they cannot originate either).
       std::vector<ProcessId> alive;
       if (cfg_.workload_senders.empty()) {
         for (ProcessId p = 0; p < nodes_.size(); ++p) {
-          if (!nodes_[p].crashed && !policy_.paused(p)) alive.push_back(p);
+          if (!fabric_.crashed(p) && !fabric_.paused(p)) alive.push_back(p);
         }
       } else {
         for (ProcessId p : cfg_.workload_senders) {
-          if (p < nodes_.size() && !nodes_[p].crashed && !policy_.paused(p)) {
+          if (p < nodes_.size() && !fabric_.crashed(p) && !fabric_.paused(p)) {
             alive.push_back(p);
           }
         }
@@ -190,116 +156,21 @@ void AbcastWorld::schedule_workload() {
       const ProcessId sender =
           alive[workload_rng_.next_below(alive.size())];
       std::string payload(cfg_.payload_bytes, 'x');
-      trace(TraceKind::kPropose, sender, kNoProcess,
-            "#" + std::to_string(index));
+      fabric_.trace(TraceKind::kPropose, sender, kNoProcess,
+                    "#" + std::to_string(index));
+      Tracked tr;
+      tr.broadcast_time = fabric_.now();
+      tr.index = index;
+      tr.payload = payload;
       const abcast::MsgId id =
           nodes_[sender].protocol->a_broadcast(std::move(payload));
-      Tracked tr;
-      tr.broadcast_time = events_.now();
-      tr.index = index;
-      tracked_.emplace(id, tr);
+      tracked_.emplace(id, std::move(tr));
       ++submitted_;
       // The sender is alive now; if it never crashes the message is owed to
       // every correct process. Senders with a scheduled future crash (spec or
       // fault plan) are handled by the "delivered anywhere" rule in
       // record_delivery.
       if (!ever_crashes_[sender]) expected_.insert(id);
-    });
-  }
-}
-
-void AbcastWorld::unicast(ProcessId from, ProcessId to, std::string bytes) {
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kSend, from, to);
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  if (from == to) {
-    const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-    events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-      run_on_node(to, [this, from, to, payload] {
-        trace(TraceKind::kDeliver, to, from);
-        nodes_[to].protocol->on_message(from, *payload);
-      });
-    });
-    return;
-  }
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-  deliver_transport(from, to, tx_end, payload);
-}
-
-void AbcastWorld::deliver_transport(
-    ProcessId from, ProcessId to, TimePoint tx_end,
-    const std::shared_ptr<const std::string>& bytes) {
-  if (lan_.link_blocked(from, to)) {
-    // TCP semantics: parked across the cut, re-injected on heal.
-    blocked_[static_cast<std::size_t>(from) * nodes_.size() + to].push_back(
-        bytes);
-    return;
-  }
-  const TimePoint arrival =
-      lan_.arrival_time(tx_end) + lan_.reliable_link_penalty_ms(from, to);
-  events_.at(arrival, [this, from, to, bytes] {
-    run_on_node(to, [this, from, to, bytes] {
-      const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-      events_.at(handled, [this, from, to, bytes] {
-        run_on_node(to, [this, from, to, bytes] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *bytes);
-        });
-      });
-    });
-  });
-}
-
-void AbcastWorld::broadcast(ProcessId from, std::string bytes) {
-  if (nodes_[from].crashed) return;
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    trace(TraceKind::kSend, from, to);
-    if (to == from) {
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-        run_on_node(to, [this, from, to, payload] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *payload);
-        });
-      });
-    } else {
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-      deliver_transport(from, to, tx_end, payload);
-    }
-  }
-}
-
-void AbcastWorld::wab_broadcast(ProcessId from, InstanceId k,
-                                std::string payload) {
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kWabSend, from);
-  // The oracle is UDP broadcast: one CPU cost, one medium occupancy, and
-  // independent per-receiver jitter — the jitter is what produces collisions
-  // (different receivers seeing different firsts) under load. The sender
-  // receives its own datagram through the same medium path (multicast echo):
-  // this is what correlates the delivery order across *all* processes, the
-  // physical basis of spontaneous order.
-  auto body = std::make_shared<const std::string>(std::move(payload));
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, body->size());
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    if (to != from && lan_.drop_wab_datagram()) continue;  // best-effort
-    if (to != from && lan_.drop_best_effort(from, to)) continue;  // nemesis
-    const TimePoint arrival =
-        lan_.wab_arrival_time(tx_end) + lan_.best_effort_extra_delay_ms(from, to);
-    events_.at(arrival, [this, from, to, k, body] {
-      run_on_node(to, [this, from, to, k, body] {
-        const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-        events_.at(handled, [this, from, to, k, body] {
-          run_on_node(to, [this, from, to, k, body] {
-            trace(TraceKind::kWabDeliver, to, from);
-            nodes_[to].protocol->on_w_deliver(k, from, *body);
-          });
-        });
-      });
     });
   }
 }
@@ -311,97 +182,25 @@ void AbcastWorld::record_delivery(ProcessId p, const abcast::AppMessage& m) {
     return;
   }
   node.history.push_back(m.id);
-  trace(TraceKind::kDecide, p, m.id.sender,
-        "s" + std::to_string(m.id.sender) + "/" + std::to_string(m.id.seq));
+  fabric_.trace(TraceKind::kDecide, p, m.id.sender,
+                "s" + std::to_string(m.id.sender) + "/" +
+                    std::to_string(m.id.seq));
   expected_.insert(m.id);  // agreement: once delivered anywhere, owed to all
 
   auto it = tracked_.find(m.id);
   if (it != tracked_.end()) {
     Tracked& tr = it->second;
-    if (tr.first_delivery < 0.0) tr.first_delivery = events_.now();
-    if (m.id.sender == p) tr.sender_delivery = events_.now();
+    if (m.payload != tr.payload) node.altered_delivery = true;
+    if (tr.first_delivery < 0.0) tr.first_delivery = fabric_.now();
+    if (m.id.sender == p) tr.sender_delivery = fabric_.now();
   }
-}
-
-void AbcastWorld::crash(ProcessId p) {
-  if (nodes_[p].crashed) return;
-  trace(TraceKind::kCrash, p);
-  nodes_[p].crashed = true;
-  fd_.on_crash(p);
-}
-
-void AbcastWorld::notify_fd_change(ProcessId p) {
-  if (nodes_[p].protocol == nullptr) return;
-  run_on_node(p, [this, p] { nodes_[p].protocol->on_fd_change(); });
-}
-
-void AbcastWorld::apply_fault(const fault::FaultAction& a) {
-  trace(TraceKind::kFault, a.p < nodes_.size() ? a.p : kNoProcess, kNoProcess,
-        fault::to_string(a));
-  switch (a.kind) {
-    case fault::FaultKind::kCrash:
-      crash(a.p);
-      break;
-    case fault::FaultKind::kRestart:
-      ZDC_ASSERT_MSG(false, "AbcastWorld is crash-stop; no restart support");
-      break;
-    case fault::FaultKind::kPause:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_pause(a.p);
-      break;
-    case fault::FaultKind::kResume:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_resume(a.p);
-      release_paused(a.p);
-      break;
-    default:
-      fault::apply_to_policy(a, policy_);
-      release_unblocked();
-      break;
-  }
-}
-
-void AbcastWorld::run_on_node(ProcessId p, std::function<void()> fn) {
-  if (nodes_[p].crashed) return;
-  if (policy_.paused(p)) {
-    paused_work_[p].push_back(std::move(fn));
-    return;
-  }
-  // Tag assertion failures inside the handler with (node, sim time) — every
-  // protocol invocation in this world funnels through here.
-  detail::AssertContextScope scope(p, events_.now());
-  fn();
-}
-
-void AbcastWorld::release_unblocked() {
-  const std::uint32_t n = cfg_.group.n;
-  for (ProcessId from = 0; from < n; ++from) {
-    for (ProcessId to = 0; to < n; ++to) {
-      auto& parked = blocked_[static_cast<std::size_t>(from) * n + to];
-      if (parked.empty() || lan_.link_blocked(from, to)) continue;
-      std::vector<std::shared_ptr<const std::string>> batch;
-      batch.swap(parked);
-      for (const auto& bytes : batch) {
-        deliver_transport(from, to, events_.now(), bytes);
-      }
-    }
-  }
-}
-
-void AbcastWorld::release_paused(ProcessId p) {
-  if (paused_work_[p].empty()) return;
-  auto work = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(paused_work_[p]));
-  paused_work_[p] = {};
-  events_.at(events_.now(), [this, p, work] {
-    for (auto& fn : *work) run_on_node(p, fn);
-  });
 }
 
 bool AbcastWorld::workload_complete() const {
   if (submitted_ < cfg_.message_count) return false;
-  for (const Node& node : nodes_) {
-    if (node.crashed) continue;
+  for (ProcessId p = 0; p < nodes_.size(); ++p) {
+    const Node& node = nodes_[p];
+    if (fabric_.crashed(p)) continue;
     // delivered ⊆ expected always holds, so size equality means coverage.
     if (node.delivered.size() < expected_.size()) return false;
   }
@@ -410,15 +209,9 @@ bool AbcastWorld::workload_complete() const {
 
 AbcastRunResult AbcastWorld::run() {
   AbcastRunResult result;
-  std::uint64_t executed = 0;
-  while (executed < cfg_.event_limit && !events_.empty() &&
-         events_.now() <= cfg_.time_limit_ms) {
-    events_.run_next();
-    ++executed;
-    if (workload_complete()) break;
-  }
-  result.events_executed = executed;
-  result.duration_ms = events_.now();
+  result.events_executed = fabric_.run(cfg_.time_limit_ms, cfg_.event_limit,
+                                       [this] { return workload_complete(); });
+  result.duration_ms = fabric_.now();
 
   // Latency samples (post-warmup messages that were delivered).
   const auto warmup_cutoff = static_cast<std::uint32_t>(
@@ -445,7 +238,9 @@ AbcastRunResult AbcastWorld::run() {
   // Property checks over the complete histories.
   std::set<abcast::MsgId> delivered_union;
   for (Node& node : nodes_) {
-    if (node.duplicate_delivery) result.integrity_ok = false;
+    if (node.duplicate_delivery || node.altered_delivery) {
+      result.integrity_ok = false;
+    }
     for (const abcast::MsgId& id : node.history) {
       if (tracked_.find(id) == tracked_.end()) result.integrity_ok = false;
       delivered_union.insert(id);
@@ -469,8 +264,9 @@ AbcastRunResult AbcastWorld::run() {
   }
 
   // Agreement / validity: every correct process holds every expected message.
-  for (Node& node : nodes_) {
-    if (node.crashed) continue;
+  for (ProcessId p = 0; p < nodes_.size(); ++p) {
+    const Node& node = nodes_[p];
+    if (fabric_.crashed(p)) continue;
     for (const abcast::MsgId& id : expected_) {
       if (node.delivered.find(id) == node.delivered.end()) {
         ++result.undelivered;
@@ -479,6 +275,7 @@ AbcastRunResult AbcastWorld::run() {
     }
   }
 
+  static_cast<CorruptionLedger&>(result) = fabric_.ledger();
   ProcessId metric_p = 0;
   for (Node& node : nodes_) {
     node.protocol->finalize_metrics();
@@ -488,6 +285,8 @@ AbcastRunResult AbcastWorld::run() {
     result.totals.w_broadcasts += m.w_broadcasts;
     result.totals.consensus_instances += m.consensus_instances;
     result.totals.transport += m.transport;
+    result.totals.corrupt_frames_dropped += m.corrupt_frames_dropped;
+    result.corrupt_frames_dropped += m.corrupt_frames_dropped;
     if (cfg_.metrics != nullptr) {
       cfg_.metrics
           ->counter("zdc_sim_rounds_total", obs::process_label(metric_p))

@@ -21,7 +21,7 @@
 #include "common/types.h"
 #include "fault/fault_plan.h"
 #include "fd/failure_detector.h"
-#include "sim/consensus_world.h"  // CrashSpec
+#include "sim/fabric.h"
 #include "sim/fd_sim.h"
 #include "sim/lan_model.h"
 #include "sim/trace.h"
@@ -44,15 +44,20 @@ struct AbcastRunConfig : RunOptions {
   double warmup_fraction = 0.1;
 
   std::vector<CrashSpec> crashes;
-  /// Scripted nemesis actions (src/fault/): partitions/link faults/pauses and
-  /// crashes. Restart actions are rejected — this world is crash-stop (the
-  /// crash-recovery abcast path lives in the threaded runtime).
+  /// Scripted nemesis actions (src/fault/): partitions/link faults/pauses,
+  /// corruption and crashes, injected by the shared fabric exactly as in
+  /// ConsensusWorld. Restart actions are rejected — this world is crash-stop
+  /// (the crash-recovery abcast path lives in the threaded runtime).
   fault::FaultPlan fault_plan;
   TimePoint time_limit_ms = 300'000.0;
   std::uint64_t event_limit = 100'000'000;
 };
 
-struct AbcastRunResult {
+/// The corruption ledger (sim/fabric.h) counts frames the fabric corrupted
+/// and the CRC drops the protocols reported. PaxosAbcast frames carry no
+/// seal, so against it a flip reaches the decoder and only the oracles below
+/// can catch it.
+struct AbcastRunResult : CorruptionLedger {
   /// Latency to the first a-delivery anywhere (the paper's metric).
   common::Sampler latency_ms;
   /// Latency to the a-delivery at the broadcasting process.
@@ -60,7 +65,9 @@ struct AbcastRunResult {
 
   bool total_order_ok = true;  ///< pairwise prefix-consistent histories
   bool agreement_ok = true;    ///< every correct process delivered everything
-  bool integrity_ok = true;    ///< no duplicate or spurious delivery
+  /// No duplicate or spurious delivery, and every a-delivered payload is
+  /// byte-identical to what was a-broadcast.
+  bool integrity_ok = true;
   std::uint64_t undelivered = 0;  ///< expected messages still missing somewhere
 
   abcast::AbcastMetrics totals;

@@ -5,8 +5,6 @@
 
 #include "common/assert.h"
 #include "common/stable_storage.h"
-#include "fault/corrupt.h"
-#include "common/log.h"
 #include "consensus/brasileiro.h"
 #include "consensus/chandra_toueg.h"
 #include "consensus/ef_consensus.h"
@@ -16,49 +14,39 @@
 #include "consensus/paxos.h"
 #include "consensus/recovering_paxos.h"
 #include "consensus/wab_consensus.h"
-#include "sim/event_queue.h"
-#include "sim/sim_metrics.h"
 
 namespace zdc::sim {
 
 namespace {
 
 /// The whole simulated deployment for one consensus instance.
-class ConsensusWorld {
+class ConsensusWorld final : public FabricClient {
  public:
   ConsensusWorld(const ConsensusRunConfig& cfg, const SimConsensusFactory& factory)
       : cfg_(cfg),
         factory_(factory),
         rng_(cfg.seed),
-        lan_(cfg.net, cfg.group.n, rng_.fork(0x11)),
-        fd_(cfg.fd, cfg.group.n, events_,
-            [this](ProcessId p) { notify_fd_change(p); }),
-        policy_(cfg.group.n),
-        blocked_(static_cast<std::size_t>(cfg.group.n) * cfg.group.n),
-        paused_work_(cfg.group.n) {
-    lan_.set_link_policy(&policy_);
-    build_nodes(factory);
+        fabric_(cfg, rng_.fork(0x11), cfg.fault_plan, *this) {
+    build_nodes();
   }
 
   ConsensusRunResult run();
 
  private:
-  struct Node;
-
-  /// ConsensusHost implementation routing into the world.
+  /// ConsensusHost implementation routing into the fabric.
   struct Host final : consensus::ConsensusHost {
     Host(ConsensusWorld& world, ProcessId self) : world_(world), self_(self) {}
     void send(ProcessId to, std::string bytes) override {
-      world_.unicast(self_, to, std::move(bytes));
+      world_.fabric_.unicast(self_, to, std::move(bytes));
     }
     void broadcast(std::string bytes) override {
-      world_.broadcast(self_, std::move(bytes));
+      world_.fabric_.broadcast(self_, std::move(bytes));
     }
     void deliver_decision(const Value& v) override {
       world_.record_decision(self_, v);
     }
     void w_broadcast(std::uint64_t stage, std::string payload) override {
-      world_.wab_broadcast(self_, stage, std::move(payload));
+      world_.fabric_.w_broadcast(self_, stage, std::move(payload));
     }
     ConsensusWorld& world_;
     ProcessId self_;
@@ -67,280 +55,81 @@ class ConsensusWorld {
   struct Node {
     std::unique_ptr<Host> host;
     std::unique_ptr<consensus::Consensus> protocol;
-    bool crashed = false;
-    std::uint32_t broadcasts_done = 0;
-    // Pending mid-broadcast truncation, if any.
-    std::uint32_t truncate_at = 0;
-    std::vector<ProcessId> truncate_targets;
     ProcessOutcome outcome;
   };
 
-  void build_nodes(const SimConsensusFactory& factory);
-  void unicast(ProcessId from, ProcessId to, std::string bytes);
-  void broadcast(ProcessId from, std::string bytes);
-  void wab_broadcast(ProcessId from, std::uint64_t stage, std::string payload);
-  void deliver_one(ProcessId from, ProcessId to, TimePoint tx_end,
-                   const std::shared_ptr<const std::string>& bytes);
-  void schedule_arrival(ProcessId from, ProcessId to, TimePoint tx_end,
-                        const std::shared_ptr<const std::string>& bytes);
-  void record_decision(ProcessId p, const Value& v);
-  void notify_fd_change(ProcessId p);
-  void crash(ProcessId p);
-  void restart(ProcessId p);
-  void apply_fault(const fault::FaultAction& a);
-  /// Runs `fn` as node p now — unless p is crashed (dropped) or paused
-  /// (parked until resume). Every entry into protocol code goes through here.
-  void run_on_node(ProcessId p, std::function<void()> fn);
-  void release_unblocked();
-  void release_paused(ProcessId p);
-  [[nodiscard]] bool all_correct_decided() const;
-
-  void trace(TraceKind kind, ProcessId subject, ProcessId peer = kNoProcess,
-             std::string detail = {}) {
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->record(events_.now(), kind, subject, peer, std::move(detail));
-    }
-    note_kind(kind_counters_, kind, subject);
+  void on_message(ProcessId from, ProcessId to,
+                  const std::string& bytes) override {
+    nodes_[to].protocol->on_message(from, bytes);
   }
+  void on_w_deliver(ProcessId from, ProcessId to, std::uint64_t stage,
+                    const std::string& body) override {
+    nodes_[to].protocol->on_w_deliver(stage, from, body);
+  }
+  void on_fd_change(ProcessId p) override {
+    fabric_.trace(TraceKind::kFdChange, p);
+    nodes_[p].protocol->on_fd_change();
+  }
+  void on_crash(ProcessId p) override;
+  void on_restart(ProcessId p) override;
+
+  void build_nodes();
+  void record_decision(ProcessId p, const Value& v);
 
   const ConsensusRunConfig& cfg_;
   const SimConsensusFactory& factory_;
   common::Rng rng_;
-  EventQueue events_;
-  LanModel lan_;
-  FdSim fd_;
+  Fabric fabric_;
   std::vector<Node> nodes_;
-  fault::LinkPolicy policy_;
-  /// Reliable messages parked on a cut link, re-injected when it re-opens
-  /// (row-major (from, to) like the policy table).
-  std::vector<std::vector<std::shared_ptr<const std::string>>> blocked_;
-  /// Work frozen while its target process is paused, flushed on resume.
-  std::vector<std::vector<std::function<void()>>> paused_work_;
   std::size_t undecided_correct_ = 0;
   bool reincarnation_conflict_ = false;
-  std::uint64_t frames_corrupted_ = 0;
-  std::uint64_t equivocations_ = 0;
-  /// Per-(kind, process) counters; empty when cfg_.metrics == nullptr.
-  KindCounters kind_counters_;
 };
 
-void ConsensusWorld::build_nodes(const SimConsensusFactory& factory) {
+void ConsensusWorld::build_nodes() {
   const std::uint32_t n = cfg_.group.n;
   ZDC_ASSERT_MSG(cfg_.proposals.size() == n, "need one proposal per process");
   nodes_.resize(n);
-  kind_counters_ = register_kind_counters(cfg_.metrics, n);
-
-  std::vector<bool> initially_crashed(n, false);
-  for (const CrashSpec& c : cfg_.crashes) {
-    ZDC_ASSERT(c.p < n);
-    if (c.initial) initially_crashed[c.p] = true;
-  }
-
   for (ProcessId p = 0; p < n; ++p) {
     Node& node = nodes_[p];
     node.host = std::make_unique<Host>(*this, p);
-    node.protocol = factory(p, cfg_.group, *node.host, fd_.omega_view(p),
-                            fd_.suspect_view(p));
-    node.crashed = initially_crashed[p];
-    node.outcome.correct = !initially_crashed[p];
+    node.protocol = factory_(p, cfg_.group, *node.host,
+                             fabric_.fd().omega_view(p),
+                             fabric_.fd().suspect_view(p));
   }
-
-  fd_.initialize(initially_crashed);
-
-  // Schedule timed crashes and arm broadcast truncations.
+  // Every process that crashes at some point (at the start, at a time or
+  // halfway through a broadcast) is not owed a decision.
   for (const CrashSpec& c : cfg_.crashes) {
-    if (c.initial) continue;
-    if (c.truncate_broadcast_index > 0) {
-      nodes_[c.p].truncate_at = c.truncate_broadcast_index;
-      nodes_[c.p].truncate_targets = c.partial_targets;
-      nodes_[c.p].outcome.correct = false;
-    } else {
-      nodes_[c.p].outcome.correct = false;
-      events_.at(c.time, [this, p = c.p] { crash(p); });
-      if (c.restart_time >= 0.0) {
-        ZDC_ASSERT_MSG(c.restart_time > c.time,
-                       "restart must come after the crash");
-        events_.at(c.restart_time, [this, p = c.p] { restart(p); });
-      }
-    }
+    ZDC_ASSERT(c.p < n);
+    nodes_[c.p].outcome.correct = false;
   }
+  fabric_.start(cfg_.crashes);
+  fabric_.schedule_crashes(cfg_.crashes);
 
   // Schedule proposals.
   for (ProcessId p = 0; p < n; ++p) {
-    if (nodes_[p].crashed) continue;
+    if (fabric_.crashed(p)) continue;
     const TimePoint when =
         p < cfg_.propose_times.size() ? cfg_.propose_times[p] : 0.0;
-    events_.at(when, [this, p] {
-      run_on_node(p, [this, p] {
-        trace(TraceKind::kPropose, p, kNoProcess, cfg_.proposals[p]);
+    fabric_.events().at(when, [this, p] {
+      fabric_.run_on_node(p, [this, p] {
+        fabric_.trace(TraceKind::kPropose, p, kNoProcess, cfg_.proposals[p]);
         nodes_[p].protocol->propose(cfg_.proposals[p]);
       });
     });
   }
+  fabric_.schedule_plan();
 
-  // Schedule the nemesis plan.
-  for (const fault::FaultAction& a : cfg_.fault_plan.actions) {
-    events_.at(a.time, [this, a] { apply_fault(a); });
-  }
-
-  undecided_correct_ = 0;
   for (const Node& node : nodes_) {
     if (node.outcome.correct) ++undecided_correct_;
   }
 }
 
-void ConsensusWorld::unicast(ProcessId from, ProcessId to, std::string bytes) {
-  ZDC_ASSERT(to < nodes_.size());
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kSend, from, to);
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  if (from == to) {
-    const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-    events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-      run_on_node(to, [this, from, to, payload] {
-        trace(TraceKind::kDeliver, to, from);
-        nodes_[to].protocol->on_message(from, *payload);
-      });
-    });
-    return;
+void ConsensusWorld::on_crash(ProcessId p) {
+  ProcessOutcome& o = nodes_[p].outcome;
+  if (o.correct) {
+    o.correct = false;
+    if (!o.decided) --undecided_correct_;
   }
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-  deliver_one(from, to, tx_end, payload);
-}
-
-void ConsensusWorld::deliver_one(ProcessId from, ProcessId to, TimePoint tx_end,
-                                 const std::shared_ptr<const std::string>& bytes) {
-  if (lan_.link_blocked(from, to)) {
-    // TCP semantics: the connection stalls across the cut and resumes after
-    // the heal — the bytes are parked, not lost (release_unblocked).
-    blocked_[static_cast<std::size_t>(from) * nodes_.size() + to].push_back(
-        bytes);
-    return;
-  }
-  fault::CorruptSpec spec;
-  if (lan_.consume_corruption(from, to, &spec)) {
-    // Surface-then-retransmit: the corrupted frame arrives first (the
-    // receiver's integrity layer sees — and drops — real garbage), and the
-    // clean original follows one retransmission quantum later. The reliable
-    // channel never loses data, so corruption costs latency, not liveness.
-    ++frames_corrupted_;
-    auto corrupted = std::make_shared<const std::string>(
-        fault::bit_flip_copy(*bytes, spec.byte, spec.bit));
-    schedule_arrival(from, to, tx_end, corrupted);
-    schedule_arrival(from, to, tx_end + lan_.config().reliable_retransmit_ms,
-                     bytes);
-    return;
-  }
-  schedule_arrival(from, to, tx_end, bytes);
-}
-
-void ConsensusWorld::schedule_arrival(
-    ProcessId from, ProcessId to, TimePoint tx_end,
-    const std::shared_ptr<const std::string>& bytes) {
-  const TimePoint arrival =
-      lan_.arrival_time(tx_end) + lan_.reliable_link_penalty_ms(from, to);
-  events_.at(arrival, [this, from, to, bytes] {
-    run_on_node(to, [this, from, to, bytes] {
-      const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-      events_.at(handled, [this, from, to, bytes] {
-        run_on_node(to, [this, from, to, bytes] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *bytes);
-        });
-      });
-    });
-  });
-}
-
-void ConsensusWorld::broadcast(ProcessId from, std::string bytes) {
-  Node& sender = nodes_[from];
-  if (sender.crashed) return;
-  ++sender.broadcasts_done;
-
-  const bool truncated = sender.truncate_at != 0 &&
-                         sender.broadcasts_done == sender.truncate_at;
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  // Equivocation (duplicate-divergent-send): this broadcast also puts a
-  // divergent duplicate on the wire to every remote receiver, each copy
-  // corrupted differently (the flipped bit varies by receiver). With frame
-  // checksums on, every duplicate is a detectable drop; the total-order and
-  // agreement oracles confirm the originals still carry the run.
-  const bool equivocating = lan_.consume_equivocation(from);
-
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    if (truncated &&
-        std::find(sender.truncate_targets.begin(), sender.truncate_targets.end(),
-                  to) == sender.truncate_targets.end()) {
-      continue;
-    }
-    if (to == from) {
-      trace(TraceKind::kSend, from, to);
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-        run_on_node(to, [this, from, to, payload] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *payload);
-        });
-      });
-    } else {
-      trace(TraceKind::kSend, from, to);
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-      deliver_one(from, to, tx_end, payload);
-      if (equivocating) {
-        ++equivocations_;
-        auto divergent = std::make_shared<const std::string>(
-            fault::bit_flip_copy(*payload, fault::kMiddleByte, to % 8u));
-        const TimePoint tx2 = lan_.occupy_medium(tx_end, divergent->size());
-        deliver_one(from, to, tx2, divergent);
-      }
-    }
-  }
-
-  if (truncated) crash(from);
-}
-
-void ConsensusWorld::wab_broadcast(ProcessId from, std::uint64_t stage,
-                                   std::string payload) {
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kWabSend, from);
-  // UDP multicast: one transmission, per-receiver jitter; the sender hears
-  // its own datagram through the medium like everyone else (the order
-  // correlation that spontaneous order rests on).
-  auto body = std::make_shared<const std::string>(std::move(payload));
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, body->size());
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    if (to != from && lan_.drop_wab_datagram()) continue;
-    // Best-effort datagrams on a cut or lossy link are simply gone — the
-    // oracle has no retransmission (and does not need one).
-    if (to != from && lan_.drop_best_effort(from, to)) continue;
-    const TimePoint arrival =
-        lan_.wab_arrival_time(tx_end) + lan_.best_effort_extra_delay_ms(from, to);
-    events_.at(arrival, [this, from, to, stage, body] {
-      run_on_node(to, [this, from, to, stage, body] {
-        const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-        events_.at(handled, [this, from, to, stage, body] {
-          run_on_node(to, [this, from, to, stage, body] {
-            trace(TraceKind::kWabDeliver, to, from);
-            nodes_[to].protocol->on_w_deliver(stage, from, *body);
-          });
-        });
-      });
-    });
-  }
-}
-
-void ConsensusWorld::crash(ProcessId p) {
-  if (nodes_[p].crashed) return;
-  trace(TraceKind::kCrash, p);
-  nodes_[p].crashed = true;
-  if (nodes_[p].outcome.correct) {
-    nodes_[p].outcome.correct = false;
-    if (!nodes_[p].outcome.decided) --undecided_correct_;
-  }
-  fd_.on_crash(p);
 }
 
 void ConsensusWorld::record_decision(ProcessId p, const Value& v) {
@@ -353,10 +142,10 @@ void ConsensusWorld::record_decision(ProcessId p, const Value& v) {
   }
   node.outcome.decided = true;
   node.outcome.decision = v;
-  trace(TraceKind::kDecide, p, kNoProcess, v);
+  fabric_.trace(TraceKind::kDecide, p, kNoProcess, v);
   node.outcome.steps = node.protocol->decision_steps();
   node.outcome.path = node.protocol->decision_path();
-  node.outcome.decide_time = events_.now();
+  node.outcome.decide_time = fabric_.now();
   if (cfg_.metrics != nullptr) {
     // Decisions are rare; registering through the registry here (instead of
     // pre-registered handles) keeps the hot paths untouched.
@@ -381,152 +170,53 @@ void ConsensusWorld::record_decision(ProcessId p, const Value& v) {
   }
 }
 
-void ConsensusWorld::notify_fd_change(ProcessId p) {
-  run_on_node(p, [this, p] {
-    trace(TraceKind::kFdChange, p);
-    nodes_[p].protocol->on_fd_change();
-  });
-}
-
-void ConsensusWorld::restart(ProcessId p) {
+void ConsensusWorld::on_restart(ProcessId p) {
   Node& node = nodes_[p];
-  if (!node.crashed) return;
-  trace(TraceKind::kPropose, p, kNoProcess, "restart");
-  node.crashed = false;
-  fd_.on_restart(p);
+  fabric_.trace(TraceKind::kPropose, p, kNoProcess, "restart");
   // A fresh incarnation: new protocol object (the factory re-injects any
   // durable state), original proposal re-proposed.
-  node.protocol = factory_(p, cfg_.group, *node.host, fd_.omega_view(p),
-                           fd_.suspect_view(p));
+  node.protocol = factory_(p, cfg_.group, *node.host,
+                           fabric_.fd().omega_view(p),
+                           fabric_.fd().suspect_view(p));
   node.protocol->propose(cfg_.proposals[p]);
-}
-
-void ConsensusWorld::apply_fault(const fault::FaultAction& a) {
-  trace(TraceKind::kFault,
-        a.p < nodes_.size() ? a.p : kNoProcess, kNoProcess,
-        fault::to_string(a));
-  switch (a.kind) {
-    case fault::FaultKind::kCrash:
-      crash(a.p);
-      break;
-    case fault::FaultKind::kRestart:
-      restart(a.p);
-      break;
-    case fault::FaultKind::kPause:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_pause(a.p);
-      break;
-    case fault::FaultKind::kResume:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_resume(a.p);
-      release_paused(a.p);
-      break;
-    default:
-      // Link-table edits (partition/heal/isolate/link): apply, then re-inject
-      // any parked traffic whose link just re-opened.
-      fault::apply_to_policy(a, policy_);
-      release_unblocked();
-      break;
-  }
-}
-
-void ConsensusWorld::run_on_node(ProcessId p, std::function<void()> fn) {
-  if (nodes_[p].crashed) return;
-  if (policy_.paused(p)) {
-    paused_work_[p].push_back(std::move(fn));
-    return;
-  }
-  // Tag assertion failures inside the handler with (node, sim time) — every
-  // protocol invocation in this world funnels through here.
-  detail::AssertContextScope scope(p, events_.now());
-  fn();
-}
-
-void ConsensusWorld::release_unblocked() {
-  const std::uint32_t n = cfg_.group.n;
-  for (ProcessId from = 0; from < n; ++from) {
-    for (ProcessId to = 0; to < n; ++to) {
-      auto& parked = blocked_[static_cast<std::size_t>(from) * n + to];
-      if (parked.empty() || lan_.link_blocked(from, to)) continue;
-      // The stalled connection resumes: everything parked goes back on the
-      // wire now, in original send order.
-      std::vector<std::shared_ptr<const std::string>> batch;
-      batch.swap(parked);
-      for (const auto& bytes : batch) {
-        deliver_one(from, to, events_.now(), bytes);
-      }
-    }
-  }
-}
-
-void ConsensusWorld::release_paused(ProcessId p) {
-  if (paused_work_[p].empty()) return;
-  auto work = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(paused_work_[p]));
-  paused_work_[p] = {};
-  events_.at(events_.now(), [this, p, work] {
-    for (auto& fn : *work) run_on_node(p, fn);
-  });
-}
-
-bool ConsensusWorld::all_correct_decided() const {
-  return undecided_correct_ == 0;
 }
 
 ConsensusRunResult ConsensusWorld::run() {
   ConsensusRunResult result;
-  std::uint64_t executed = 0;
-  while (executed < cfg_.event_limit && !events_.empty() &&
-         events_.now() <= cfg_.time_limit_ms) {
-    events_.run_next();
-    ++executed;
-    if (all_correct_decided()) break;
-  }
-  result.events_executed = executed;
+  result.events_executed =
+      fabric_.run(cfg_.time_limit_ms, cfg_.event_limit,
+                  [this] { return undecided_correct_ == 0; });
 
+  static_cast<CorruptionLedger&>(result) = fabric_.ledger();
   result.outcomes.reserve(nodes_.size());
-  bool first = true;
-  ProcessId metric_p = 0;
-  result.frames_corrupted = frames_corrupted_;
-  result.equivocations = equivocations_;
-  for (Node& node : nodes_) {
-    result.totals += node.protocol->metrics();
-    result.corrupt_frames_dropped += node.protocol->corrupt_frames_dropped();
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics
-          ->counter("zdc_sim_rounds_total", obs::process_label(metric_p))
-          .inc(node.protocol->metrics().rounds_started);
-    }
-    ++metric_p;
-    result.outcomes.push_back(node.outcome);
-    const ProcessOutcome& o = node.outcome;
-    if (o.decided) {
-      if (first || o.decide_time < result.first_decision_time) {
-        result.first_decision_time = o.decide_time;
-      }
-      result.last_decision_time =
-          std::max(result.last_decision_time, o.decide_time);
-      first = false;
-      if (std::find(cfg_.proposals.begin(), cfg_.proposals.end(), o.decision) ==
-          cfg_.proposals.end()) {
-        result.validity_ok = false;
-      }
-    }
-  }
-
-  // Agreement across every process that decided (crashed ones included).
+  // Agreement is checked over every process that decided, crashed ones
+  // included.
   const Value* seen = nullptr;
-  for (const ProcessOutcome& o : result.outcomes) {
-    if (!o.decided) continue;
-    if (seen == nullptr) {
-      seen = &o.decision;
-    } else if (*seen != o.decision) {
-      result.agreement_ok = false;
+  for (ProcessId p = 0; p < nodes_.size(); ++p) {
+    const consensus::Consensus& protocol = *nodes_[p].protocol;
+    result.totals += protocol.metrics();
+    result.corrupt_frames_dropped += protocol.corrupt_frames_dropped();
+    if (cfg_.metrics != nullptr) {
+      cfg_.metrics->counter("zdc_sim_rounds_total", obs::process_label(p))
+          .inc(protocol.metrics().rounds_started);
     }
+    const ProcessOutcome& o = nodes_[p].outcome;
+    result.outcomes.push_back(o);
+    if (!o.decided) continue;
+    if (seen == nullptr || o.decide_time < result.first_decision_time) {
+      result.first_decision_time = o.decide_time;
+    }
+    result.last_decision_time =
+        std::max(result.last_decision_time, o.decide_time);
+    if (std::find(cfg_.proposals.begin(), cfg_.proposals.end(), o.decision) ==
+        cfg_.proposals.end()) {
+      result.validity_ok = false;
+    }
+    if (seen != nullptr && *seen != o.decision) result.agreement_ok = false;
+    if (seen == nullptr) seen = &o.decision;
   }
-
   if (reincarnation_conflict_) result.agreement_ok = false;
-  result.all_correct_decided = all_correct_decided();
+  result.all_correct_decided = undecided_correct_ == 0;
   return result;
 }
 
@@ -553,29 +243,33 @@ SimConsensusFactory paxos_factory() {
   };
 }
 
+namespace {
+
+/// The module a one-step wrapper (Brasileiro, EfConsensus) tunnels: "paxos"
+/// or L-Consensus. The views are owned by the world and outlive the
+/// protocol, so the factory captures a pointer to Ω (capturing the reference
+/// parameter would dangle once the outer factory call returns).
+consensus::ConsensusFactory underlying_factory(const std::string& underlying,
+                                               const fd::OmegaView& omega) {
+  const fd::OmegaView* omega_ptr = &omega;
+  if (underlying == "paxos") {
+    return [omega_ptr](ProcessId s, GroupParams g, consensus::ConsensusHost& h) {
+      return std::make_unique<consensus::PaxosConsensus>(s, g, h, *omega_ptr);
+    };
+  }
+  return [omega_ptr](ProcessId s, GroupParams g, consensus::ConsensusHost& h) {
+    return std::make_unique<consensus::LConsensus>(s, g, h, *omega_ptr);
+  };
+}
+
+}  // namespace
+
 SimConsensusFactory brasileiro_factory(const std::string& underlying) {
   return [underlying](ProcessId self, GroupParams group,
                       consensus::ConsensusHost& host, const fd::OmegaView& omega,
-                      const fd::SuspectView& suspects) {
-    // The views are owned by the world and outlive the protocol; capture a
-    // pointer (capturing the reference parameter would dangle once this outer
-    // factory call returns).
-    const fd::OmegaView* omega_ptr = &omega;
-    consensus::ConsensusFactory inner;
-    if (underlying == "paxos") {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::PaxosConsensus>(s, g, h, *omega_ptr);
-      };
-    } else {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::LConsensus>(s, g, h, *omega_ptr);
-      };
-    }
-    (void)suspects;
-    return std::make_unique<consensus::BrasileiroConsensus>(self, group, host,
-                                                            std::move(inner));
+                      const fd::SuspectView&) {
+    return std::make_unique<consensus::BrasileiroConsensus>(
+        self, group, host, underlying_factory(underlying, omega));
   };
 }
 
@@ -583,24 +277,9 @@ SimConsensusFactory ef_consensus_factory(std::uint32_t e,
                                          const std::string& underlying) {
   return [e, underlying](ProcessId self, GroupParams group,
                          consensus::ConsensusHost& host,
-                         const fd::OmegaView& omega,
-                         const fd::SuspectView& suspects) {
-    (void)suspects;
-    const fd::OmegaView* omega_ptr = &omega;
-    consensus::ConsensusFactory inner;
-    if (underlying == "paxos") {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::PaxosConsensus>(s, g, h, *omega_ptr);
-      };
-    } else {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::LConsensus>(s, g, h, *omega_ptr);
-      };
-    }
-    return std::make_unique<consensus::EfConsensus>(self, group, e, host,
-                                                    std::move(inner));
+                         const fd::OmegaView& omega, const fd::SuspectView&) {
+    return std::make_unique<consensus::EfConsensus>(
+        self, group, e, host, underlying_factory(underlying, omega));
   };
 }
 

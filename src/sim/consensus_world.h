@@ -20,31 +20,12 @@
 #include "fault/fault_plan.h"
 #include "fd/failure_detector.h"
 #include "obs/run_options.h"
+#include "sim/fabric.h"
 #include "sim/fd_sim.h"
 #include "sim/lan_model.h"
 #include "sim/trace.h"
 
 namespace zdc::sim {
-
-/// Crash injection for one process.
-struct CrashSpec {
-  ProcessId p = 0;
-  /// Crash instant; 0 with initial=true means dead before the run starts.
-  TimePoint time = 0.0;
-  bool initial = false;
-  /// If nonzero, instead of crashing at `time`, the process executes until its
-  /// k-th broadcast (1-based), which is delivered only to `partial_targets`,
-  /// and crashes immediately afterwards — the adversarial mid-broadcast crash
-  /// the agreement proofs must survive.
-  std::uint32_t truncate_broadcast_index = 0;
-  std::vector<ProcessId> partial_targets;
-  /// Crash-recovery model: if >= 0, the process restarts at this time — a
-  /// fresh protocol instance is built through the factory (same host, same
-  /// FD views, and crucially the same StableStorage if the factory injects
-  /// one) and re-proposes. Use with FdMode::kStable (the simulated FDs have
-  /// no un-suspect path; crash-recovery failure detection is its own topic).
-  double restart_time = -1.0;
-};
 
 /// Inherits the shared group/net/fd/seed block plus the observability hooks
 /// (metrics registry, trace recorder) from zdc::RunOptions — see
@@ -73,7 +54,9 @@ struct ProcessOutcome {
   TimePoint decide_time = 0.0;
 };
 
-struct ConsensusRunResult {
+/// The corruption ledger (sim/fabric.h) is part of the result: with frame
+/// checksums on, corrupt_frames_dropped <= frames_corrupted + equivocations.
+struct ConsensusRunResult : CorruptionLedger {
   std::vector<ProcessOutcome> outcomes;
   common::ProtocolMetrics totals;
   bool all_correct_decided = false;
@@ -82,17 +65,6 @@ struct ConsensusRunResult {
   TimePoint first_decision_time = 0.0;
   TimePoint last_decision_time = 0.0;
   std::uint64_t events_executed = 0;
-  /// Corruption-fault accounting (FaultPlan flip/scorrupt/equivocate): frames
-  /// the fabric corrupted, divergent duplicates delivered, and frames the
-  /// protocols' CRC seal rejected. With checksums on, every corrupted frame
-  /// that *arrives* is a detectable drop, so corrupt_frames_dropped <=
-  /// frames_corrupted + equivocations — with equality once every injected
-  /// copy has landed (the run ends at all-decided, so the tail of the ledger
-  /// may still be in flight; the model checker asserts exact equality at
-  /// true quiescence).
-  std::uint64_t frames_corrupted = 0;
-  std::uint64_t equivocations = 0;
-  std::uint64_t corrupt_frames_dropped = 0;
 
   [[nodiscard]] bool safe() const { return agreement_ok && validity_ok; }
 };

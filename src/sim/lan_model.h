@@ -18,7 +18,8 @@
 //      Schiper's observations.
 //
 // The model computes, for each message, its delivery time at each receiver;
-// the ConsensusWorld/AbcastWorld schedule delivery events accordingly.
+// sim::Fabric (sim/fabric.h) schedules the delivery events of every sim world
+// accordingly.
 #pragma once
 
 #include <cstdint>
@@ -130,15 +131,9 @@ class LanModel {
   }
 
   /// Attaches the nemesis link table (not owned; may be null = no faults).
-  /// All link verdict methods below consult it.
+  /// The link verdicts below consult it; cut links and corruption budgets
+  /// are the fabric's business (sim/fabric.h).
   void set_link_policy(const fault::LinkPolicy* policy) { policy_ = policy; }
-
-  /// True while the (from, to) link is cut by a partition/isolation. Reliable
-  /// traffic must *wait out* the cut (the world parks it and re-injects on
-  /// heal); best-effort oracle datagrams on a cut link are simply lost.
-  [[nodiscard]] bool link_blocked(ProcessId from, ProcessId to) const {
-    return policy_ != nullptr && policy_->link(from, to).blocked;
-  }
 
   /// Extra delivery delay on a reliable channel from injected degradation:
   /// the scripted delay spike plus a geometric retransmission penalty for
@@ -153,22 +148,6 @@ class LanModel {
   [[nodiscard]] bool drop_best_effort(ProcessId from, ProcessId to);
   [[nodiscard]] TimePoint best_effort_extra_delay_ms(ProcessId from,
                                                      ProcessId to) const;
-
-  /// Corruption verdicts (FaultPlan flip/scorrupt budgets), drawn on the
-  /// reliable-channel delivery path: true iff the next frame on (from, to)
-  /// must be byte-flipped per `*spec`. Draws down the finite LinkPolicy
-  /// budget — at most `count` frames per armed fault are ever corrupted.
-  [[nodiscard]] bool consume_corruption(ProcessId from, ProcessId to,
-                                        fault::CorruptSpec* spec) const {
-    return policy_ != nullptr && policy_->consume_corruption(from, to, spec);
-  }
-
-  /// Equivocation verdict (FaultPlan equivocate budget), drawn once per
-  /// broadcast at the sender: true iff this broadcast must also deliver a
-  /// divergent duplicate to every remote receiver.
-  [[nodiscard]] bool consume_equivocation(ProcessId from) const {
-    return policy_ != nullptr && policy_->consume_equivocation(from);
-  }
 
   [[nodiscard]] const NetworkConfig& config() const { return cfg_; }
 

@@ -8,9 +8,7 @@
 #include "common/codec.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "sim/event_queue.h"
-#include "sim/fd_sim.h"
-#include "sim/lan_model.h"
+#include "sim/fabric.h"
 
 namespace zdc::sim {
 
@@ -18,25 +16,16 @@ namespace {
 
 /// Like ConsensusWorld, but instances are created in sequence and their
 /// traffic is wrapped in an instance-id envelope.
-class SequenceWorld {
+class SequenceWorld final : public FabricClient {
  public:
   SequenceWorld(const SequenceConfig& cfg, const SimConsensusFactory& factory)
       : cfg_(cfg),
         factory_(factory),
         rng_(cfg.seed),
-        lan_(cfg.net, cfg.group.n, rng_.fork(0x44)),
-        proposal_rng_(rng_.fork(0x55)),
-        fd_(cfg.fd, cfg.group.n, events_,
-            [this](ProcessId p) { notify_fd_change(p); }) {
-    crashed_.assign(cfg.group.n, false);
-    fd_.initialize(std::vector<bool>(cfg.group.n, false));
+        fabric_(cfg, rng_.fork(0x44), fault::FaultPlan{}, *this),
+        proposal_rng_(rng_.fork(0x55)) {
+    fabric_.start({});
     if (cfg_.metrics != nullptr) {
-      for (ProcessId p = 0; p < cfg_.group.n; ++p) {
-        sent_ctrs_.push_back(&cfg_.metrics->counter(
-            "zdc_sim_messages_sent_total", obs::process_label(p)));
-        decision_ctrs_.push_back(&cfg_.metrics->counter(
-            "zdc_sim_decisions_total", obs::process_label(p)));
-      }
       decision_latency_ =
           &cfg_.metrics->histogram("zdc_sim_decision_latency_ms", {});
     }
@@ -49,13 +38,10 @@ class SequenceWorld {
     Host(SequenceWorld& world, ProcessId self, std::uint32_t instance)
         : world_(world), self_(self), instance_(instance) {}
     void send(ProcessId to, std::string bytes) override {
-      world_.unicast(self_, to, wrap(std::move(bytes)));
+      world_.fabric_.unicast(self_, to, wrap(std::move(bytes)));
     }
     void broadcast(std::string bytes) override {
-      std::string framed = wrap(std::move(bytes));
-      for (ProcessId to = 0; to < world_.cfg_.group.n; ++to) {
-        world_.unicast(self_, to, framed);
-      }
+      world_.fabric_.broadcast(self_, wrap(std::move(bytes)));
     }
     void deliver_decision(const Value& v) override {
       world_.record_decision(instance_, self_, v);
@@ -86,29 +72,24 @@ class SequenceWorld {
     bool started = false;
   };
 
+  void on_message(ProcessId from, ProcessId to,
+                  const std::string& framed) override;
+  void on_fd_change(ProcessId p) override;
+  void on_crash(ProcessId p) override;
+
   void start_instance(std::uint32_t index);
-  void unicast(ProcessId from, ProcessId to, std::string framed);
   void record_decision(std::uint32_t instance, ProcessId p, const Value& v);
   void maybe_complete(std::uint32_t instance);
-  void notify_fd_change(ProcessId p);
-  void crash(ProcessId p);
 
   const SequenceConfig& cfg_;
   const SimConsensusFactory& factory_;
   common::Rng rng_;
-  EventQueue events_;
-  LanModel lan_;
+  Fabric fabric_;
   common::Rng proposal_rng_;
-  FdSim fd_;
-  std::vector<bool> crashed_;
   std::vector<std::unique_ptr<Instance>> instances_;
   std::uint32_t current_ = 0;
   bool finished_ = false;
-  // Pre-registered handles (empty/null when cfg.metrics is null). Counter
-  // bumps never touch the RNG or event queue, so schedules are unchanged.
-  std::vector<obs::Counter*> sent_ctrs_;
-  std::vector<obs::Counter*> decision_ctrs_;
-  obs::Histogram* decision_latency_ = nullptr;
+  obs::Histogram* decision_latency_ = nullptr;  ///< null when metrics are off
 };
 
 void SequenceWorld::start_instance(std::uint32_t index) {
@@ -118,7 +99,7 @@ void SequenceWorld::start_instance(std::uint32_t index) {
   }
   // Injected crash at this boundary.
   if (cfg_.crash_process != kNoProcess && index == cfg_.crash_before_instance) {
-    crash(cfg_.crash_process);
+    fabric_.crash(cfg_.crash_process);
   }
 
   current_ = index;
@@ -127,18 +108,18 @@ void SequenceWorld::start_instance(std::uint32_t index) {
   }
   Instance& inst = *instances_[index];
   inst.started = true;
-  inst.stats.start_time = events_.now();
+  inst.stats.start_time = fabric_.now();
   inst.procs.resize(cfg_.group.n);
 
   for (ProcessId p = 0; p < cfg_.group.n; ++p) {
     ProcessInstance& pi = inst.procs[p];
     pi.host = std::make_unique<Host>(*this, p, index);
-    pi.protocol = factory_(p, cfg_.group, *pi.host, fd_.omega_view(p),
-                           fd_.suspect_view(p));
-    if (!crashed_[p]) ++inst.undecided_correct;
+    pi.protocol = factory_(p, cfg_.group, *pi.host, fabric_.fd().omega_view(p),
+                           fabric_.fd().suspect_view(p));
+    if (!fabric_.crashed(p)) ++inst.undecided_correct;
   }
   for (ProcessId p = 0; p < cfg_.group.n; ++p) {
-    if (crashed_[p]) continue;
+    if (fabric_.crashed(p)) continue;
     const Value proposal =
         cfg_.divergent_proposals
             ? "v" + std::to_string(proposal_rng_.next_below(cfg_.group.n)) +
@@ -146,41 +127,26 @@ void SequenceWorld::start_instance(std::uint32_t index) {
             : "agreed";
     // Propose via an event so instance construction never recurses into
     // message delivery.
-    events_.after(0.0, [this, index, p, proposal] {
-      if (!crashed_[p]) {
-        detail::AssertContextScope scope(p, events_.now());
+    fabric_.events().after(0.0, [this, index, p, proposal] {
+      fabric_.run_on_node(p, [this, index, p, proposal] {
+        fabric_.trace(TraceKind::kPropose, p, kNoProcess, proposal);
         instances_[index]->procs[p].protocol->propose(proposal);
-      }
+      });
     });
   }
 }
 
-void SequenceWorld::unicast(ProcessId from, ProcessId to, std::string framed) {
-  if (crashed_[from]) return;
-  if (!sent_ctrs_.empty()) sent_ctrs_[from]->inc();
-  auto payload = std::make_shared<const std::string>(std::move(framed));
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end =
-      from == to ? sent : lan_.occupy_medium(sent, payload->size());
-  const TimePoint arrival =
-      from == to ? lan_.local_delivery(sent) : lan_.arrival_time(tx_end);
-  events_.at(arrival, [this, from, to, payload] {
-    if (crashed_[to]) return;
-    const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-    events_.at(handled, [this, from, to, payload] {
-      if (crashed_[to]) return;
-      common::Decoder dec(*payload);
-      const std::uint64_t instance = dec.get_u64();
-      if (!dec.ok() || instance >= instances_.size()) return;
-      Instance& inst = *instances_[instance];
-      if (inst.procs.empty()) return;
-      auto& pi = inst.procs[to];
-      if (pi.protocol != nullptr && !pi.decided) {
-        detail::AssertContextScope scope(to, events_.now());
-        pi.protocol->on_message(from, dec.get_rest());
-      }
-    });
-  });
+void SequenceWorld::on_message(ProcessId from, ProcessId to,
+                               const std::string& framed) {
+  common::Decoder dec(framed);
+  const std::uint64_t instance = dec.get_u64();
+  if (!dec.ok() || instance >= instances_.size()) return;
+  Instance& inst = *instances_[instance];
+  if (inst.procs.empty()) return;
+  auto& pi = inst.procs[to];
+  if (pi.protocol != nullptr && !pi.decided) {
+    pi.protocol->on_message(from, dec.get_rest());
+  }
 }
 
 void SequenceWorld::record_decision(std::uint32_t instance, ProcessId p,
@@ -190,12 +156,10 @@ void SequenceWorld::record_decision(std::uint32_t instance, ProcessId p,
   if (pi.decided) return;
   pi.decided = true;
   pi.decision = v;
+  fabric_.trace(TraceKind::kDecide, p, kNoProcess, v);
 
-  const TimePoint rel = events_.now() - inst.stats.start_time;
-  if (!decision_ctrs_.empty()) {
-    decision_ctrs_[p]->inc();
-    decision_latency_->observe(rel);
-  }
+  const TimePoint rel = fabric_.now() - inst.stats.start_time;
+  if (decision_latency_ != nullptr) decision_latency_->observe(rel);
   if (inst.stats.first_decision == 0.0 || rel < inst.stats.first_decision) {
     inst.stats.first_decision = rel;
   }
@@ -209,7 +173,7 @@ void SequenceWorld::record_decision(std::uint32_t instance, ProcessId p,
     if (other.decided && other.decision != v) inst.stats.safe = false;
   }
 
-  if (!crashed_[p] && inst.undecided_correct > 0) {
+  if (!fabric_.crashed(p) && inst.undecided_correct > 0) {
     --inst.undecided_correct;
     maybe_complete(instance);
   }
@@ -224,11 +188,11 @@ void SequenceWorld::maybe_complete(std::uint32_t instance) {
   inst.stats.complete = true;
   inst.stats.mean_steps = inst.steps.mean();
   // Barrier: the next instance starts now.
-  events_.after(0.0, [this, next = instance + 1] { start_instance(next); });
+  fabric_.events().after(0.0,
+                         [this, next = instance + 1] { start_instance(next); });
 }
 
-void SequenceWorld::notify_fd_change(ProcessId p) {
-  if (crashed_[p]) return;
+void SequenceWorld::on_fd_change(ProcessId p) {
   for (auto& inst : instances_) {
     if (!inst->procs.empty() && inst->procs[p].protocol != nullptr &&
         !inst->procs[p].decided) {
@@ -237,9 +201,7 @@ void SequenceWorld::notify_fd_change(ProcessId p) {
   }
 }
 
-void SequenceWorld::crash(ProcessId p) {
-  if (crashed_[p]) return;
-  crashed_[p] = true;
+void SequenceWorld::on_crash(ProcessId p) {
   // Undecided-correct bookkeeping for the in-flight instance.
   for (std::uint32_t i = 0; i < instances_.size(); ++i) {
     auto& inst = *instances_[i];
@@ -249,17 +211,12 @@ void SequenceWorld::crash(ProcessId p) {
       maybe_complete(i);
     }
   }
-  fd_.on_crash(p);
 }
 
 SequenceResult SequenceWorld::run() {
-  events_.after(0.0, [this] { start_instance(0); });
-  std::uint64_t executed = 0;
-  while (!finished_ && executed < cfg_.event_limit && !events_.empty() &&
-         events_.now() <= cfg_.time_limit_ms) {
-    events_.run_next();
-    ++executed;
-  }
+  fabric_.events().after(0.0, [this] { start_instance(0); });
+  fabric_.run(cfg_.time_limit_ms, cfg_.event_limit,
+              [this] { return finished_; });
 
   SequenceResult result;
   for (const auto& inst : instances_) {

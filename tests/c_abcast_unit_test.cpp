@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "abcast/c_abcast.h"
 #include "check/invariants.h"
 #include "direct_abcast_harness.h"
+#include "fault/corrupt.h"
 #include "runtime/transport.h"
 
 namespace zdc::testing {
@@ -172,7 +175,7 @@ TEST(CAbcastUnit, ManyRoundsAdvanceAndPruneInstances) {
   enc.put_u8(1);   // kConsTag
   enc.put_u64(1);  // instance 1, far below round 13
   enc.put_raw("zz");
-  net.protocol(0).on_message(1, enc.bytes());
+  net.protocol(0).on_message(1, common::seal_frame(enc.take()));
   EXPECT_EQ(net.delivered(0).size(), 12u);
 }
 
@@ -184,6 +187,54 @@ TEST(CAbcastUnit, MalformedTransportAndOracleInputIgnored) {
   net.a_broadcast(0, "still-works");
   net.settle();
   EXPECT_EQ(net.delivered(0).size(), 1u);
+}
+
+// Records what one C-Abcast process puts on the wire.
+struct CaptureHost final : abcast::AbcastHost {
+  void send(ProcessId /*to*/, std::string bytes) override {
+    frames.push_back(std::move(bytes));
+  }
+  void broadcast(std::string bytes) override {
+    frames.push_back(std::move(bytes));
+  }
+  void w_broadcast(InstanceId k, std::string payload) override {
+    datagrams.emplace_back(k, std::move(payload));
+  }
+  void a_deliver(const abcast::AppMessage& /*m*/) override {}
+  std::vector<std::string> frames;
+  std::vector<std::pair<InstanceId, std::string>> datagrams;
+};
+
+TEST(CAbcastUnit, EveryBitFlipOfAFrameIsDroppedBeforeRouting) {
+  // The seal covers the whole frame, the [tag][round] header included: a
+  // flipped round id must not hand a valid consensus body to another
+  // round's instance, and a flipped body must not even create its round's
+  // instance. Every single-bit flip is a counted drop; the clean frame then
+  // goes through.
+  DirectAbcastNet::Fd fd;
+  CaptureHost sender_host;
+  auto sender = abcast::make_c_abcast_l(0, kGroup, sender_host, fd.omega);
+  sender->a_broadcast("m");
+  ASSERT_EQ(sender_host.datagrams.size(), 1u);
+  sender->on_w_deliver(sender_host.datagrams[0].first, 0,
+                       sender_host.datagrams[0].second);
+  ASSERT_FALSE(sender_host.frames.empty()) << "round 1 proposal not sent";
+  const std::string frame = sender_host.frames[0];
+
+  CaptureHost receiver_host;
+  auto receiver = abcast::make_c_abcast_l(1, kGroup, receiver_host, fd.omega);
+  for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+    for (std::uint32_t bit = 0; bit < 8; ++bit) {
+      receiver->on_message(0, fault::bit_flip_copy(frame, byte, bit));
+    }
+  }
+  EXPECT_EQ(receiver->metrics().consensus_instances, 0u)
+      << "a corrupted frame reached a consensus instance";
+  EXPECT_EQ(receiver->metrics().corrupt_frames_dropped, 8 * frame.size());
+
+  receiver->on_message(0, frame);
+  EXPECT_EQ(receiver->metrics().consensus_instances, 1u);
+  EXPECT_EQ(receiver->metrics().corrupt_frames_dropped, 8 * frame.size());
 }
 
 // Delivers oracle datagrams (to `group` only) and transport messages among

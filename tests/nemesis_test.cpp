@@ -119,6 +119,29 @@ TEST(FaultPlanText, RejectsMalformedInput) {
   }
 }
 
+TEST(FaultPlanText, CheckPlanRejectsProcessesOutsideTheGroup) {
+  const std::vector<std::string> bad = {
+      "@0.1 crash 7",          "@0.1 partition 0 9 |", "@0.1 link 0 4",
+      "@0.1 flip 4 0",         "@0.1 isolate 4",       "@0.1 pause 5",
+      "@0.1 equivocate 4",     "@0.1 scorrupt 4",      "@0.1 restart 4",
+  };
+  for (const std::string& text : bad) {
+    fault::FaultPlan plan;
+    std::string err;
+    ASSERT_TRUE(fault::parse_fault_plan(text, &plan, &err)) << err;
+    EXPECT_FALSE(fault::check_plan(plan, 4, &err)) << text;
+    EXPECT_NE(err.find("out of range for n=4"), std::string::npos) << err;
+  }
+  fault::FaultPlan good;
+  std::string err;
+  ASSERT_TRUE(fault::parse_fault_plan(
+      "@0.1 partition 0 1 | 2 3\n@0.2 link 3 2 delay=1\n@0.3 heal\n"
+      "@0.4 flip 0 3\n@0.5 crash 3\n",
+      &good, &err))
+      << err;
+  EXPECT_TRUE(fault::check_plan(good, 4, &err)) << err;
+}
+
 TEST(NemesisGenerator, DeterministicAndSurvivable) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     fault::NemesisConfig cfg;
@@ -443,6 +466,253 @@ TEST(AbcastNemesis, CAbcastStaysSafeAndConvergesUnderRandomPlans) {
                                 << fault::to_string(cfg.fault_plan);
     ASSERT_EQ(r.undelivered, 0u) << "seed " << seed << "\n"
                                  << fault::to_string(cfg.fault_plan);
+  }
+}
+
+TEST(AbcastNemesis, CAbcastStaysSafeUnderRandomCorruptionPlans) {
+  // allow_corrupt mixes flip/equivocate/scorrupt windows into the drawn
+  // plans. The C-Abcast frame is sealed as a whole, so every corrupted copy
+  // is a detectable drop and the clean retransmission carries the run.
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    sim::AbcastRunConfig cfg;
+    cfg.group = GroupParams{4, 1};
+    cfg.seed = seed;
+    cfg.fd.mode = sim::FdMode::kCrashTracking;
+    cfg.fd.detection_delay_ms = 2.0;
+    cfg.throughput_per_s = 2000.0;
+    cfg.message_count = 120;
+    cfg.payload_bytes = 32;
+
+    fault::NemesisConfig ncfg;
+    ncfg.n = 4;
+    ncfg.f = 1;
+    ncfg.horizon_ms = 40.0;
+    ncfg.disturbances = 3;
+    ncfg.allow_corrupt = true;
+    cfg.fault_plan = fault::random_fault_plan(ncfg, seed * 97 + 3);
+
+    auto r = sim::run_abcast(cfg, sim::abcast_factory_by_name("c-l"));
+    const std::string plan = fault::to_string(cfg.fault_plan);
+    ASSERT_TRUE(r.safe()) << "seed " << seed << "\n" << plan;
+    ASSERT_TRUE(r.agreement_ok) << "seed " << seed << "\n" << plan;
+    ASSERT_EQ(r.undelivered, 0u) << "seed " << seed << "\n" << plan;
+    EXPECT_LE(r.corrupt_frames_dropped, r.frames_corrupted + r.equivocations)
+        << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One fabric under every sim world: a plan injects the same faults into the
+// abcast world as into the consensus world.
+
+fault::FaultPlan plan_from(const std::string& text) {
+  fault::FaultPlan plan;
+  std::string err;
+  EXPECT_TRUE(fault::parse_fault_plan(text, &plan, &err)) << err;
+  return plan;
+}
+
+sim::AbcastRunConfig corruption_abcast_config(std::uint64_t seed,
+                                              const std::string& plan) {
+  sim::AbcastRunConfig cfg;
+  cfg.group = GroupParams{4, 1};
+  cfg.seed = seed;
+  cfg.throughput_per_s = 500.0;
+  cfg.message_count = 100;
+  cfg.fault_plan = plan_from(plan);
+  return cfg;
+}
+
+TEST(AbcastCorruption, SealedStacksStaySafeAtEveryFlipByte) {
+  // Flips at the frame head (seal, C-Abcast tag, round id), inside the
+  // consensus header and in the body, plus sender equivocation: every
+  // corrupted copy must be a counted drop, never a re-routed or altered
+  // message.
+  for (const char* protocol : {"c-l", "c-p", "wabcast"}) {
+    for (const char* byte : {"0", "1", "2", "8", "12", "middle"}) {
+      for (const char* bit : {"0", "7"}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          const std::string where =
+              std::string(byte) == "middle"
+                  ? std::string(" bit=") + bit
+                  : std::string(" byte=") + byte + " bit=" + bit;
+          const std::string plan = "@0.1 flip 0 1 count=5" + where +
+                                   "\n@0.1 flip 2 0 count=5" + where +
+                                   "\n@0.1 equivocate 2 count=3\n";
+          const auto r = sim::run_abcast(corruption_abcast_config(seed, plan),
+                                         sim::abcast_factory_by_name(protocol));
+          const std::string ctx = std::string(protocol) + " seed " +
+                                  std::to_string(seed) + "\n" + plan;
+          ASSERT_TRUE(r.safe()) << ctx;
+          ASSERT_TRUE(r.agreement_ok) << ctx;
+          ASSERT_EQ(r.undelivered, 0u) << ctx;
+          EXPECT_GT(r.frames_corrupted, 0u) << ctx;
+          EXPECT_GT(r.corrupt_frames_dropped, 0u) << ctx;
+          EXPECT_LE(r.corrupt_frames_dropped,
+                    r.frames_corrupted + r.equivocations)
+              << ctx;
+        }
+      }
+    }
+  }
+}
+
+/// The trace without the kFault lines, one string per event.
+std::vector<std::string> effects(const sim::TraceRecorder& trace) {
+  std::vector<std::string> out;
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (e.kind == sim::TraceKind::kFault) continue;
+    out.push_back(std::to_string(e.time) + "|" +
+                  sim::trace_kind_name(e.kind) + "|" +
+                  std::to_string(e.subject) + "|" + std::to_string(e.peer) +
+                  "|" + e.detail);
+  }
+  return out;
+}
+
+TEST(AbcastCorruption, FlipPlanCostsRetransmissions) {
+  // The plan from the fabric's regression: before the abcast world shared
+  // the fabric it accepted this plan and ran exactly the fault-free
+  // schedule. Now the corrupted copies surface and are dropped, and the
+  // clean originals arrive one retransmission quantum later.
+  const std::string plan =
+      "@0.1 flip 0 1 count=5\n@0.1 equivocate 2 count=3\n";
+  sim::AbcastRunConfig clean = corruption_abcast_config(3, "");
+  sim::AbcastRunConfig faulty = corruption_abcast_config(3, plan);
+  sim::TraceRecorder clean_trace;
+  sim::TraceRecorder faulty_trace;
+  clean.trace = &clean_trace;
+  faulty.trace = &faulty_trace;
+  const auto a = sim::run_abcast(clean, sim::abcast_factory_by_name("c-l"));
+  const auto b = sim::run_abcast(faulty, sim::abcast_factory_by_name("c-l"));
+  ASSERT_TRUE(a.safe() && a.agreement_ok);
+  ASSERT_TRUE(b.safe() && b.agreement_ok);
+  EXPECT_EQ(a.frames_corrupted + a.equivocations, 0u);
+  EXPECT_EQ(b.frames_corrupted, 5u);
+  EXPECT_GT(b.equivocations, 0u);
+  EXPECT_EQ(b.corrupt_frames_dropped, b.frames_corrupted + b.equivocations);
+  EXPECT_EQ(b.totals.corrupt_frames_dropped, b.corrupt_frames_dropped);
+  // The retransmissions move the schedule: the runs differ in more than the
+  // plan's own kFault lines.
+  EXPECT_NE(effects(clean_trace), effects(faulty_trace));
+}
+
+TEST(AbcastCorruption, UnsealedPaxosAbcastFlipsAreCaughtByTheOracles) {
+  // PaxosAbcast is the paper's baseline and keeps its unsealed wire, so a
+  // middle-byte flip reaches its decoder and alters the a-delivered payload.
+  // The integrity oracle compares every a-delivered payload with what was
+  // a-broadcast, so the run is reported unsafe rather than passing.
+  sim::AbcastRunConfig cfg = corruption_abcast_config(
+      1, "@0.1 flip 1 0 count=5\n@0.1 flip 0 2 count=5\n");
+  cfg.group = GroupParams{3, 1};
+  const auto r = sim::run_abcast(cfg, sim::abcast_factory_by_name("paxos"));
+  EXPECT_EQ(r.frames_corrupted, 10u);
+  EXPECT_EQ(r.corrupt_frames_dropped, 0u) << "PaxosAbcast has no seal";
+  EXPECT_FALSE(r.integrity_ok);
+  EXPECT_FALSE(r.safe());
+}
+
+TEST(SimFabric, PlansNamingProcessesOutsideTheGroupAreRejected) {
+  sim::ConsensusRunConfig ccfg;
+  ccfg.proposals = {"a", "b", "c", "d"};
+  ccfg.fault_plan = plan_from("@0.1 crash 7\n");
+  EXPECT_DEATH(sim::run_consensus(ccfg, sim::l_consensus_factory()),
+               "out of range for n=4");
+  sim::AbcastRunConfig acfg = corruption_abcast_config(1, "@0.1 isolate 4\n");
+  EXPECT_DEATH(sim::run_abcast(acfg, sim::abcast_factory_by_name("c-l")),
+               "out of range for n=4");
+}
+
+/// For one fault verb: a plan that sets the stage (empty for most verbs) and
+/// the same plan plus the verb. Runs that differ only in the verb must
+/// differ in more than the verb's own kFault trace line.
+struct VerbCase {
+  std::string base;
+  std::string with_verb;
+};
+
+VerbCase verb_case(fault::FaultKind kind, double t1, double t2) {
+  const std::string a = "@" + std::to_string(t1) + " ";
+  const std::string b = "\n@" + std::to_string(t2) + " ";
+  switch (kind) {
+    case fault::FaultKind::kPartition:
+      return {"", a + "partition 0 1 | 2 3"};
+    case fault::FaultKind::kHeal:
+      return {a + "partition 0 1 | 2 3", a + "partition 0 1 | 2 3" + b + "heal"};
+    case fault::FaultKind::kIsolate:
+      return {"", a + "isolate 0"};
+    case fault::FaultKind::kLink:
+      return {"", a + "link 0 1 delay=1"};
+    case fault::FaultKind::kPause:
+      return {"", a + "pause 3"};
+    case fault::FaultKind::kResume:
+      return {a + "pause 3", a + "pause 3" + b + "resume 3"};
+    case fault::FaultKind::kCrash:
+      return {"", a + "crash 0"};
+    case fault::FaultKind::kRestart:
+      return {a + "crash 0", a + "crash 0" + b + "restart 0"};
+    case fault::FaultKind::kFlip:
+      return {"", a + "flip 0 1 count=3"};
+    case fault::FaultKind::kEquivocate:
+      return {"", a + "equivocate 0 count=3"};
+    case fault::FaultKind::kStateCorrupt:
+      return {"", a + "scorrupt 1 count=3"};
+  }
+  return {};
+}
+
+constexpr fault::FaultKind kAllFaultKinds[] = {
+    fault::FaultKind::kPartition, fault::FaultKind::kHeal,
+    fault::FaultKind::kIsolate,   fault::FaultKind::kLink,
+    fault::FaultKind::kPause,     fault::FaultKind::kResume,
+    fault::FaultKind::kCrash,     fault::FaultKind::kRestart,
+    fault::FaultKind::kFlip,      fault::FaultKind::kEquivocate,
+    fault::FaultKind::kStateCorrupt,
+};
+
+TEST(SimFabric, EveryFaultVerbTakesEffectInTheConsensusWorld) {
+  auto run = [](const std::string& plan) {
+    sim::ConsensusRunConfig cfg;
+    cfg.group = GroupParams{4, 1};
+    cfg.net = sim::calibrated_lan_2006();
+    cfg.fd.mode = sim::FdMode::kCrashTracking;
+    cfg.fd.detection_delay_ms = 1.0;
+    cfg.seed = 9;
+    cfg.proposals = {"a", "b", "c", "d"};
+    cfg.propose_times = {0.5, 0.5, 0.5, 0.5};
+    cfg.fault_plan = plan_from(plan);
+    sim::TraceRecorder trace;
+    cfg.trace = &trace;
+    sim::run_consensus(cfg, sim::l_consensus_factory());
+    return effects(trace);
+  };
+  for (fault::FaultKind kind : kAllFaultKinds) {
+    const VerbCase c = verb_case(kind, 0.6, 1.5);
+    EXPECT_NE(run(c.base), run(c.with_verb))
+        << fault::fault_kind_name(kind) << " had no effect:\n" << c.with_verb;
+  }
+}
+
+TEST(SimFabric, EveryFaultVerbTakesEffectInTheAbcastWorld) {
+  auto run = [](const std::string& plan) {
+    sim::AbcastRunConfig cfg = corruption_abcast_config(9, plan);
+    cfg.fd.mode = sim::FdMode::kCrashTracking;
+    cfg.fd.detection_delay_ms = 1.0;
+    cfg.message_count = 40;
+    sim::TraceRecorder trace;
+    cfg.trace = &trace;
+    sim::run_abcast(cfg, sim::abcast_factory_by_name("c-l"));
+    return effects(trace);
+  };
+  for (fault::FaultKind kind : kAllFaultKinds) {
+    const VerbCase c = verb_case(kind, 3.0, 9.0);
+    if (kind == fault::FaultKind::kRestart) {
+      // The one expected rejection: the abcast world is crash-stop.
+      EXPECT_DEATH(run(c.with_verb), "crash-stop");
+      continue;
+    }
+    EXPECT_NE(run(c.base), run(c.with_verb))
+        << fault::fault_kind_name(kind) << " had no effect:\n" << c.with_verb;
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <string>
 
+#include "obs/metrics.h"
 #include "sim/sequence_world.h"
+#include "sim/trace.h"
 
 namespace zdc::sim {
 namespace {
@@ -101,6 +103,36 @@ TEST(SequenceWorld, UnanimousSequenceIsOneStepThroughout) {
   for (const auto& inst : r.instances) {
     EXPECT_DOUBLE_EQ(inst.mean_steps, 1.0);
   }
+}
+
+// The sequence world runs on the shared fabric, so RunOptions::trace and the
+// per-(kind, process) counters see its traffic like any other world's.
+TEST(SequenceWorld, TraceAndKindCountersRecordTheRun) {
+  auto cfg = base_sequence(4);
+  cfg.crash_process = 3;
+  cfg.crash_before_instance = 2;
+  TraceRecorder trace;
+  obs::MetricsRegistry registry;
+  cfg.trace = &trace;
+  cfg.metrics = &registry;
+  auto r = run_consensus_sequence(cfg, l_consensus_factory());
+  ASSERT_TRUE(r.all_complete);
+  ASSERT_TRUE(r.all_safe);
+  EXPECT_TRUE(trace.causally_consistent());
+  // Four processes in instances 0-1, three after the crash.
+  EXPECT_EQ(trace.count(TraceKind::kPropose), 4u + 4u + 3u + 3u);
+  EXPECT_EQ(trace.count(TraceKind::kDecide), 4u + 4u + 3u + 3u);
+  EXPECT_EQ(trace.count(TraceKind::kCrash), 1u);
+  std::uint64_t sent = 0;
+  std::uint64_t decided = 0;
+  for (ProcessId p = 0; p < cfg.group.n; ++p) {
+    sent += registry.counter("zdc_sim_messages_sent_total",
+                             obs::process_label(p)).value();
+    decided += registry.counter("zdc_sim_decisions_total",
+                                obs::process_label(p)).value();
+  }
+  EXPECT_EQ(sent, trace.count(TraceKind::kSend));
+  EXPECT_EQ(decided, trace.count(TraceKind::kDecide));
 }
 
 }  // namespace

@@ -135,9 +135,10 @@ std::vector<sim::CrashSpec> parse_crashes(const Flags& flags,
 }
 
 /// Loads a nemesis plan from --plan FILE or --plan-text "a;b;c" (';' doubles
-/// as a line separator so a whole plan fits in one shell argument). Exits
-/// with a diagnostic on parse errors.
-fault::FaultPlan load_plan(const Flags& flags) {
+/// as a line separator so a whole plan fits in one shell argument) for a
+/// group of n processes. Exits 2 with a diagnostic on parse errors and on
+/// processes out of range.
+fault::FaultPlan load_plan(const Flags& flags, std::uint32_t n) {
   fault::FaultPlan plan;
   std::string text;
   if (flags.has("plan")) {
@@ -159,11 +160,22 @@ fault::FaultPlan load_plan(const Flags& flags) {
     return plan;
   }
   std::string error;
-  if (!fault::parse_fault_plan(text, &plan, &error)) {
+  if (!fault::parse_fault_plan(text, &plan, &error) ||
+      !fault::check_plan(plan, n, &error)) {
     std::fprintf(stderr, "bad fault plan: %s\n", error.c_str());
     std::exit(2);
   }
   return plan;
+}
+
+/// Prints the corruption ledger of a run that had a fault plan.
+void print_ledger(const fault::FaultPlan& plan,
+                  const sim::CorruptionLedger& ledger) {
+  if (plan.empty()) return;
+  std::printf("corruption: frames=%llu equivocations=%llu dropped=%llu\n",
+              static_cast<unsigned long long>(ledger.frames_corrupted),
+              static_cast<unsigned long long>(ledger.equivocations),
+              static_cast<unsigned long long>(ledger.corrupt_frames_dropped));
 }
 
 /// True when any metrics output was requested.
@@ -207,7 +219,7 @@ int run_consensus_mode(const Flags& flags) {
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd = parse_fd(flags);
   cfg.crashes = parse_crashes(flags, cfg.group.n);
-  cfg.fault_plan = load_plan(flags);
+  cfg.fault_plan = load_plan(flags, cfg.group.n);
 
   if (flags.has("proposals")) {
     cfg.proposals = split(flags.get("proposals", ""), ',');
@@ -254,6 +266,7 @@ int run_consensus_mode(const Flags& flags) {
               r.agreement_ok ? "ok" : "VIOLATED",
               r.validity_ok ? "ok" : "VIOLATED",
               r.all_correct_decided ? "ok" : "incomplete");
+  print_ledger(cfg.fault_plan, r);
   if (flags.has("trace")) {
     std::printf("\n%s", trace.render_spacetime(cfg.group.n).c_str());
     std::printf("trace: %zu events, causally consistent: %s\n",
@@ -274,8 +287,6 @@ int run_abcast_mode(const Flags& flags) {
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 1));
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd = parse_fd(flags);
-  cfg.crashes = parse_crashes(flags, cfg.group.n);
-  cfg.fault_plan = load_plan(flags);
   cfg.throughput_per_s = flags.num("throughput", 100);
   cfg.message_count = static_cast<std::uint32_t>(flags.num("messages", 400));
 
@@ -284,6 +295,14 @@ int run_abcast_mode(const Flags& flags) {
 
   const std::string protocol = flags.get("protocol", "c-l");
   if (protocol == "paxos" && !flags.has("n")) cfg.group = GroupParams{3, 1};
+  cfg.crashes = parse_crashes(flags, cfg.group.n);
+  cfg.fault_plan = load_plan(flags, cfg.group.n);
+  if (cfg.fault_plan.has(fault::FaultKind::kRestart)) {
+    std::fprintf(stderr,
+                 "bad fault plan: restart is not supported by the crash-stop "
+                 "abcast world\n");
+    return 2;
+  }
 
   auto r = sim::run_abcast(cfg, sim::abcast_factory_by_name(protocol));
   std::printf("protocol=%s n=%u throughput=%.0f/s messages=%u seed=%llu\n",
@@ -301,6 +320,7 @@ int run_abcast_mode(const Flags& flags) {
               r.total_order_ok ? "ok" : "VIOLATED",
               r.integrity_ok ? "ok" : "VIOLATED",
               r.agreement_ok ? "ok" : "incomplete");
+  print_ledger(cfg.fault_plan, r);
   if (wants_metrics(flags)) {
     const int rc = emit_metrics(registry, flags);
     if (rc != 0) return rc;
