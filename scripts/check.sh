@@ -23,18 +23,15 @@ set -eu
 cd "$(dirname "$0")/.."
 JOBS=$( (command -v nproc > /dev/null && nproc) || echo 4)
 
-# Static stage: thread-safety annotation build (clang), zdc_lint, the
-# zdc_analyze semantic passes, clang-tidy. The clang-dependent pieces
-# self-skip where clang isn't installed; zdc_lint and zdc_analyze always run
-# (they build with the project).
+# Static stage: thread-safety annotation build (clang), zdc_analyze (lock
+# graph, discarded Status, determinism and hygiene rules), clang-tidy. The
+# clang-dependent pieces self-skip where clang isn't installed; zdc_analyze
+# always runs (it builds with the project).
 run_static() {
   echo "=== static: thread-safety annotations"
   scripts/thread_safety_check.sh "$PWD"
-  echo "=== static: zdc_lint"
-  cmake -B build -S . > /dev/null
-  cmake --build build -j "$JOBS" --target zdc_lint
-  ./build/tools/zdc_lint --root "$PWD"
   echo "=== static: zdc_analyze"
+  cmake -B build -S . > /dev/null
   cmake --build build -j "$JOBS" --target zdc_analyze
   ./build/tools/zdc_analyze --root "$PWD"
   echo "=== static: clang-tidy"

@@ -9,11 +9,11 @@ namespace {
 // The observability layer is the one legitimate wall-time reader in the
 // deterministic-linted tree: runtime traces exist to timestamp real threaded
 // executions. Everything else must go through the seeded sim clock.
-// zdc-lint: allow(wall-clock): runtime tracing timestamps real threaded runs
+// zdc-analyze: allow(wall-clock): runtime tracing timestamps real threaded runs
 using Clock = std::chrono::steady_clock;
 
 std::chrono::nanoseconds now_ns() {
-  // zdc-analyze: allow(wall-clock-alias): runtime tracing timestamps real threaded runs (same exemption as the zdc-lint wall-clock allow above)
+  // zdc-analyze: allow(wall-clock): runtime tracing timestamps real threaded runs
   return Clock::now().time_since_epoch();
 }
 

@@ -1,7 +1,7 @@
-// Determinism-flow family, alias resolution. In a deterministic file the
-// alias *uses* fire; the alias declarations themselves are exempt (even the
-// chained `using Ticker = Clock;`), as is the direct std::mt19937 spelling
-// (that literal token is zdc_lint's job, not the alias resolver's).
+// Determinism family, alias resolution. In a deterministic file the alias
+// *uses* fire, and so does every literal banned spelling, including the ones
+// on alias declarations (lines 7 and 9). A chained alias declaration
+// (`using Ticker = Clock;`) spells nothing banned and stays silent.
 namespace zdc {
 
 using Clock = std::chrono::steady_clock;

@@ -1,11 +1,11 @@
-// Unordered-container flow. In a deterministic file, a range-for over an
-// *alias* of an unordered container fires unordered-alias-iter (walk_alias);
-// the direct spelling is zdc_lint's unordered-iter domain and stays silent
-// here (walk_direct). Feeding an Encoder or a fingerprint from inside the
-// loop fires unordered-encode-flow in every file, deterministic or not
+// Unordered-container flow. In a deterministic file every walk over an
+// unordered container fires unordered-iter, whether its type is spelled
+// directly (walk_direct) or hides behind an alias (walk_alias). Feeding an
+// Encoder or a fingerprint from inside the loop also fires
+// unordered-encode-flow in every file, deterministic or not
 // (encode_unordered, fingerprint_unordered); an ordered map feeding the same
-// Encoder, or an unordered walk feeding a plain counter, stays silent
-// (encode_ordered, count_unordered).
+// Encoder stays silent (encode_ordered), and so does an unordered walk
+// feeding a plain counter outside deterministic files (count_unordered).
 namespace zdc {
 
 using Table = std::unordered_map<int, int>;

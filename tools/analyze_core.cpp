@@ -8,8 +8,9 @@
 #include <sstream>
 
 // Implementation map (analyze_core.h documents the contract):
-//   lex()            — tokens with kinds; comments/preprocessor/literals eaten.
-//   AllowTable       — zdc-analyze allow()/allow-file() suppression markers.
+//   lex()            — tokens with kinds; comments/preprocessor/literals eaten
+//                      (or, `full`, kept: directives lexed, comments as text).
+//   AllowTable       — allow()/allow-file() markers, read from comment tokens.
 //   StructureParser  — phase 1: classes (members, mutex members, bases,
 //                      methods with return types / annotations / body ranges),
 //                      using/typedef aliases, global mutexes. Tolerant: on
@@ -23,7 +24,9 @@
 //                      fan-out; free calls by own class, else unique name),
 //                      transitive acquires/blocking fixpoints, lock-order
 //                      edges + SCC cycles, discarded-status decisions,
-//                      alias-resolved determinism rules, suppression filter.
+//                      suppression filter.
+//   token_sweep()    — per-file token rules over the full lex: hygiene, and
+//                      the literal/alias-resolved clock/time/random bans.
 
 namespace zdc::analyze {
 
@@ -31,9 +34,10 @@ namespace {
 
 const std::set<std::string>& known_rules() {
   static const std::set<std::string> rules = {
-      "recursive-lock",     "lock-order-cycle",   "blocking-under-lock",
-      "cv-wait-multi-lock", "discarded-status",   "wall-clock-alias",
-      "raw-random-alias",   "unordered-alias-iter", "unordered-encode-flow",
+      "recursive-lock",     "lock-order-cycle", "blocking-under-lock",
+      "cv-wait-multi-lock", "discarded-status", "wall-clock",
+      "wall-time",          "raw-random",       "unordered-iter",
+      "unordered-encode-flow", "bare-assert",   "std-cout",
   };
   return rules;
 }
@@ -46,7 +50,8 @@ bool ident_char(char c) {
 }
 
 // ---------------------------------------------------------------------------
-// Allow markers. Same shape as zdc_lint's, plus allow-file(<rule>).
+// Allow markers: `allow(<rule>)` covers its own line and the next,
+// `allow-file(<rule>)` the whole file. Only comment tokens carry markers.
 
 struct AllowTable {
   std::map<int, std::set<std::string>> by_line;
@@ -61,68 +66,80 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-AllowTable parse_allows(const std::string& path, const std::string& src) {
-  AllowTable table;
-  std::istringstream stream(src);
-  std::string text;
-  int line = 0;
-  while (std::getline(stream, text)) {
-    ++line;
-    const std::size_t mark = text.find("zdc-analyze:");
-    if (mark == std::string::npos) continue;
-    // Only comment text carries markers — the grammar quoted inside a string
-    // literal (e.g. this parser's own error messages) is not a marker.
-    const std::size_t comment = text.find("//");
-    if (comment == std::string::npos || comment > mark) continue;
-    bool file_scope = false;
-    std::size_t open = text.find("allow-file(", mark);
-    if (open != std::string::npos) {
-      file_scope = true;
-      open += 11;
-    } else {
-      open = text.find("allow(", mark);
-      if (open == std::string::npos) {
-        table.marker_findings.push_back(
-            {path, line, "unknown-allow",
-             "malformed zdc-analyze marker (expected `zdc-analyze: "
-             "allow(<rule>): <why>` or allow-file)"});
-        continue;
-      }
-      open += 6;
+void parse_marker(const std::string& path, const Token& comment,
+                  AllowTable* table) {
+  // Find the marker head `zdc-<tool>:` (lower-case tool name).
+  const std::string& text = comment.text;
+  std::size_t mark = text.find("zdc-");
+  std::size_t colon = std::string::npos;
+  for (; mark != std::string::npos; mark = text.find("zdc-", mark + 4)) {
+    colon = mark + 4;
+    while (colon < text.size() &&
+           (std::islower(static_cast<unsigned char>(text[colon])) ||
+            text[colon] == '-')) {
+      ++colon;
     }
-    const std::size_t close = text.find(')', open);
-    if (close == std::string::npos) {
-      table.marker_findings.push_back(
-          {path, line, "unknown-allow", "unterminated allow(<rule>) marker"});
-      continue;
-    }
-    const std::string rule = trim(text.substr(open, close - open));
-    // `<rule>`-style placeholders mean documentation of the grammar itself
-    // (analyze_core.h, docs/ANALYSIS.md) — not a marker, not a violation.
-    if (!rule.empty() && rule.front() == '<') continue;
-    if (known_rules().count(rule) == 0) {
-      table.marker_findings.push_back(
-          {path, line, "unknown-allow",
-           "allow() names unknown rule '" + rule + "'"});
-      continue;
-    }
-    std::string reason = trim(text.substr(close + 1));
-    if (!reason.empty() && reason.front() == ':') {
-      reason = trim(reason.substr(1));
-    }
-    if (reason.empty()) {
-      table.marker_findings.push_back(
-          {path, line, "allow-needs-reason",
-           "allow(" + rule + ") needs a justification after the marker"});
-      continue;
-    }
-    if (file_scope) {
-      table.file_rules.insert(rule);
-    } else {
-      table.by_line[line].insert(rule);
-    }
+    if (colon > mark + 4 && colon < text.size() && text[colon] == ':') break;
   }
-  return table;
+  if (mark == std::string::npos) return;
+  const int line = comment.line + static_cast<int>(std::count(
+                                      text.begin(), text.begin() + mark, '\n'));
+  auto report = [&](const std::string& rule, const std::string& message) {
+    table->marker_findings.push_back({path, line, rule, message});
+  };
+  const std::string tool = text.substr(mark, colon - mark);
+  if (tool != "zdc-analyze") {
+    if (trim(text.substr(colon + 1)).rfind("allow", 0) == 0) {
+      report("unknown-allow", "'" + tool +
+                                  ":' markers are not read — write `zdc-"
+                                  "analyze: allow(<rule>): <why>`");
+    }
+    return;
+  }
+  bool file_scope = false;
+  std::size_t open = text.find("allow-file(", colon);
+  if (open != std::string::npos) {
+    file_scope = true;
+    open += 11;
+  } else {
+    open = text.find("allow(", colon);
+    if (open == std::string::npos) {
+      report("unknown-allow",
+             "malformed marker (expected `zdc-analyze: allow(<rule>): <why>` "
+             "or allow-file)");
+      return;
+    }
+    open += 6;
+  }
+  const std::size_t close = text.find(')', open);
+  if (close == std::string::npos) {
+    report("unknown-allow", "unterminated allow(<rule>) marker");
+    return;
+  }
+  const std::string rule = trim(text.substr(open, close - open));
+  // `<rule>`-style placeholders mean documentation of the grammar itself
+  // (analyze_core.h, docs/ANALYSIS.md) — not a marker, not a violation.
+  if (!rule.empty() && rule.front() == '<') return;
+  if (known_rules().count(rule) == 0) {
+    report("unknown-allow", "allow() names unknown rule '" + rule + "'");
+    return;
+  }
+  std::string reason = trim(text.substr(close + 1));
+  if (!reason.empty() && reason.front() == ':') reason = trim(reason.substr(1));
+  // A block comment's closing delimiter is not a justification.
+  if (reason.size() >= 2 && reason.compare(reason.size() - 2, 2, "*/") == 0) {
+    reason = trim(reason.substr(0, reason.size() - 2));
+  }
+  if (reason.empty()) {
+    report("allow-needs-reason",
+           "allow(" + rule + ") needs a justification after the marker");
+    return;
+  }
+  if (file_scope) {
+    table->file_rules.insert(rule);
+  } else {
+    table->by_line[line].insert(rule);
+  }
 }
 
 bool allowed(const AllowTable& t, int line, const std::string& rule) {
@@ -1004,10 +1021,24 @@ const std::set<std::string>& clock_types() {
   return s;
 }
 
+const std::set<std::string>& time_calls() {
+  static const std::set<std::string> s = {
+      "time", "clock", "gettimeofday", "clock_gettime", "localtime",
+      "gmtime", "mktime", "ftime", "timespec_get"};
+  return s;
+}
+
 const std::set<std::string>& random_types() {
   static const std::set<std::string> s = {
       "random_device", "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
       "default_random_engine", "knuth_b", "ranlux24", "ranlux48"};
+  return s;
+}
+
+const std::set<std::string>& random_calls() {
+  static const std::set<std::string> s = {"rand", "srand", "drand48",
+                                          "lrand48", "mrand48", "random",
+                                          "random_shuffle"};
   return s;
 }
 
@@ -1016,6 +1047,20 @@ const std::set<std::string>& unordered_types() {
                                           "unordered_multimap",
                                           "unordered_multiset"};
   return s;
+}
+
+/// `t[k](` names a function in a declaration (`double time() const`): a
+/// non-keyword identifier directly precedes it.
+bool declares(const std::vector<Token>& t, std::size_t k) {
+  return k > 0 && t[k - 1].kind == Tok::kIdent &&
+         cpp_keywords().count(t[k - 1].text) == 0 && t[k - 1].text != "operator";
+}
+
+/// `t[k](` is a call of a free function: not a member call (`x.time(`) and
+/// not a declaration.
+bool free_call(const std::vector<Token>& t, std::size_t k) {
+  if (k + 1 >= t.size() || t[k + 1].text != "(" || declares(t, k)) return false;
+  return k == 0 || (t[k - 1].text != "." && t[k - 1].text != "->");
 }
 
 struct CallRec {
@@ -1266,6 +1311,17 @@ struct BodyWalker {
     out.discards.push_back(std::move(c));
   }
 
+  /// unordered-iter at token k, in deterministic files only.
+  void unordered_iter(std::size_t k, const std::string& what,
+                      const std::string& ground) {
+    if (!(*model.files)[m.file].deterministic) return;
+    out.findings.push_back(
+        {path, t[k].line, "unordered-iter",
+         what + " iterates std::" + ground +
+             " — iteration order is unspecified and breaks replayable "
+             "schedules; use std::map/std::set"});
+  }
+
   // --- range-for ----------------------------------------------------------
   void handle_range_for(std::size_t for_idx) {
     // for ( decl : range ) — find the ':' at paren depth 1.
@@ -1308,15 +1364,25 @@ struct BodyWalker {
         }
       }
     }
-    // Range expression: identifier chain (a.b->c) only.
+    // Range expression: an identifier chain (a.b->c) is typed below; a
+    // computed range (call, temporary) counts only when it spells an
+    // unordered type itself (`std::unordered_set<int>{...}`).
     std::vector<std::string> range;
+    std::string spelled;
+    bool computed = false;
     for (std::size_t v = colon + 1; v < close; ++v) {
       if (is_ident(v)) {
         range.push_back(txt(v));
+        const std::string g = model.resolve_type(m.file, txt(v));
+        if (unordered_types().count(g) != 0) spelled = g;
       } else if (txt(v) != "." && txt(v) != "->" && txt(v) != "::" &&
                  txt(v) != "*") {
-        return;  // computed range — out of scope
+        computed = true;
       }
+    }
+    if (computed) {
+      if (!spelled.empty()) unordered_iter(for_idx, "range-for", spelled);
+      return;
     }
     if (range.empty()) return;
     // Type of the range: direct member/local lookup, then alias chase.
@@ -1345,15 +1411,10 @@ struct BodyWalker {
       locals[loop_var] = ground.substr(0, ground.size() - 2);
     }
     if (unordered_types().count(ground) == 0) return;
-    const int line = t[for_idx].line;
-    if (steps > 0 && (*model.files)[m.file].deterministic) {
-      out.findings.push_back(
-          {path, line, "unordered-alias-iter",
-           "range-for over '" + range.back() + "' whose type '" + raw +
-               "' resolves to std::" + ground +
-               " through an alias — iteration order is unspecified and "
-               "breaks replayable schedules"});
-    }
+    unordered_iter(for_idx,
+                   "range-for over '" + range.back() + "'" +
+                       (steps > 0 ? " (type '" + raw + "')" : ""),
+                   ground);
     // Does the loop body feed an Encoder / fingerprint?
     std::size_t body_begin = close + 1;
     std::size_t body_end;
@@ -1559,10 +1620,7 @@ struct BodyWalker {
       member_call(k);
       return;
     }
-    if (is_ident(k - 1) && cpp_keywords().count(prev) == 0 &&
-        prev != "operator") {
-      return;  // `Type name(args)` declaration — not a call
-    }
+    if (declares(t, k)) return;  // `Type name(args)` — not a call
     CallRec c;
     c.method = mi;
     c.callee = s;
@@ -1618,6 +1676,11 @@ struct BodyWalker {
                  "before waiting"});
       }
     }
+    if ((name == "begin" || name == "cbegin" || name == "rbegin") &&
+        unordered_types().count(c.recv_type) != 0) {
+      unordered_iter(k, "'" + name + "()' walk over '" + chain.back() + "'",
+                     c.recv_type);
+    }
     if (blocking_calls().count(name) != 0 && !held_all.empty()) {
       out.direct_block.emplace(mi, name);
       out.findings.push_back(
@@ -1630,36 +1693,54 @@ struct BodyWalker {
 
 };
 
-// Alias *uses* at non-function scope (e.g. member declarations using a bad
-// alias) in det files: a cheap token sweep that skips the alias's own
-// declaration line.
-void det_alias_sweep(const Model& model, int fi, const std::string& path,
-                     std::vector<Finding>* out) {
-  if (!(*model.files)[fi].deterministic) return;
-  // Alias *declarations* are exempt — including a chained one like
-  // `using Ticker = Clock;`, where the right-hand side already resolves
-  // through one step. Only uses outside any alias-declaring line count.
+// Token rules over one file's full lex (code and directive bodies, comments
+// removed): the hygiene bans everywhere, and in deterministic files the
+// clock/time/random bans on the literal spelling or on any name whose
+// using/typedef chain grounds in a banned type.
+void token_sweep(const Model& model, int fi, const std::vector<Token>& t,
+                 std::vector<Finding>* out) {
+  const SourceFile& file = (*model.files)[fi];
+  // An alias declaration names the alias without using it (`using Ticker =
+  // Clock;`); only a literal banned spelling on that line counts.
   std::set<int> alias_decl_lines;
   for (const auto& [name, alias] : model.file_aliases[fi]) {
     alias_decl_lines.insert(alias.line);
   }
-  std::set<std::pair<int, std::string>> seen;
-  for (const Token& tok : model.toks[fi]) {
-    if (tok.kind != Tok::kIdent) continue;
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    if (t[k].kind != Tok::kIdent) continue;
+    const std::string& s = t[k].text;
+    auto emit = [&](const std::string& rule, const std::string& message) {
+      out->push_back({file.path, t[k].line, rule, message});
+    };
+    const bool call = free_call(t, k);
+    if (s == "assert" && call) {
+      emit("bare-assert",
+           "bare assert() — use ZDC_ASSERT/ZDC_ASSERT_MSG (always on, prints "
+           "node/time context)");
+    } else if (s == "cout") {
+      emit("std-cout",
+           "std::cout in library code — use ZDC_LOG (leveled, thread-safe)");
+    }
+    if (!file.deterministic) continue;
     int steps = 0;
-    const std::string ground = model.resolve_type(fi, tok.text, &steps);
-    if (steps == 0) continue;
-    const bool clock = clock_types().count(ground) != 0;
-    const bool random = random_types().count(ground) != 0;
-    if (!clock && !random) continue;
-    if (alias_decl_lines.count(tok.line) != 0) continue;
-    const std::string rule = clock ? "wall-clock-alias" : "raw-random-alias";
-    if (!seen.insert({tok.line, rule}).second) continue;
-    out->push_back(
-        {path, tok.line, rule,
-         "'" + tok.text + "' resolves to '" + ground +
-             "' through a type alias — banned in deterministic code (" +
-             std::string(clock ? "wall clock" : "raw randomness") + ")"});
+    const std::string ground = model.resolve_type(fi, s, &steps);
+    if (steps > 0 && alias_decl_lines.count(t[k].line) != 0) continue;
+    const std::string what =
+        steps > 0 ? "'" + s + "' (alias of '" + ground + "')" : "'" + s + "'";
+    if (clock_types().count(ground) != 0) {
+      emit("wall-clock",
+           "wall clock " + what +
+               " in deterministic code — simulated time must come from the "
+               "event queue / TimePoint plumbing");
+    } else if (random_types().count(ground) != 0 ||
+               (call && random_calls().count(s) != 0)) {
+      emit("raw-random", what + " in deterministic code — all randomness "
+                                "must flow from a seeded common::Rng");
+    } else if (call && time_calls().count(s) != 0) {
+      emit("wall-time", "C time call " + what +
+                            " in deterministic code — wall time breaks seed "
+                            "replay");
+    }
   }
 }
 
@@ -1801,7 +1882,7 @@ void find_cycles(const std::vector<LockEdge>& edges,
 // ---------------------------------------------------------------------------
 // Lexer (public so tests can pin it).
 
-std::vector<Token> lex(const std::string& src) {
+std::vector<Token> lex(const std::string& src, bool full) {
   std::vector<Token> out;
   int line = 1;
   std::size_t i = 0;
@@ -1819,21 +1900,28 @@ std::vector<Token> lex(const std::string& src) {
       ++i;
       continue;
     }
-    if (c == '/' && at(i + 1) == '/') {
-      while (i < n && src[i] != '\n') ++i;
-      continue;
-    }
-    if (c == '/' && at(i + 1) == '*') {
-      i += 2;
-      while (i < n && !(src[i] == '*' && at(i + 1) == '/')) {
-        if (src[i] == '\n') ++line;
-        ++i;
+    if (c == '/' && (at(i + 1) == '/' || at(i + 1) == '*')) {
+      const std::size_t start = i;
+      const int at_line = line;
+      if (at(i + 1) == '/') {
+        while (i < n && src[i] != '\n') ++i;
+      } else {
+        i += 2;
+        while (i < n && !(src[i] == '*' && at(i + 1) == '/')) {
+          if (src[i] == '\n') ++line;
+          ++i;
+        }
+        i = std::min(n, i + 2);
       }
-      i = std::min(n, i + 2);
+      if (full) {
+        out.push_back(
+            Token{src.substr(start, i - start), at_line, Tok::kComment});
+      }
       continue;
     }
-    // Preprocessor directives: consumed whole, honoring line continuations.
-    if (c == '#') {
+    // Preprocessor directives: consumed whole, honoring line continuations
+    // (lexed like code when `full`).
+    if (c == '#' && !full) {
       while (i < n) {
         if (src[i] == '\\' && at(i + 1) == '\n') {
           ++line;
@@ -1925,11 +2013,19 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
   model.file_aliases.resize(files.size());
 
   // Phase 0+1: lex, allow tables, structure. Headers first so their aliases
-  // and classes are visible when .cpp files are parsed.
+  // and classes are visible when .cpp files are parsed. The full lex feeds
+  // the allow markers (its comments) and token_sweep (everything else).
+  std::vector<std::vector<Token>> swept(files.size());
   std::vector<int> order;
   for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
     model.toks[fi] = lex(files[fi].content);
-    model.allows[fi] = parse_allows(files[fi].path, files[fi].content);
+    for (Token& tok : lex(files[fi].content, /*full=*/true)) {
+      if (tok.kind == Tok::kComment) {
+        parse_marker(files[fi].path, tok, &model.allows[fi]);
+      } else {
+        swept[fi].push_back(std::move(tok));
+      }
+    }
     order.push_back(fi);
   }
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
@@ -1976,7 +2072,7 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
   }
   std::vector<Finding> findings = std::move(facts.findings);
   for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-    det_alias_sweep(model, fi, files[fi].path, &findings);
+    token_sweep(model, fi, swept[fi], &findings);
   }
 
   // Phase 3a: per-method transitive acquires and blocking.

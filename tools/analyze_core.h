@@ -1,8 +1,7 @@
-// zdc_analyze core: whole-program semantic static analysis, one step up from
-// the zdc_lint token scanner (lint_core.h). Where zdc_lint looks at one token
-// stream at a time, zdc_analyze lexes every translation unit, recovers a
-// lightweight structural model (classes, members, methods, local/parameter
-// types, using/typedef aliases) and runs three cross-file check families:
+// zdc_analyze core: the repo's one static analyzer. It lexes every
+// translation unit, recovers a lightweight structural model (classes,
+// members, methods, local/parameter types, using/typedef aliases) and runs
+// four check families over it:
 //
 // Lock-graph family (rules: recursive-lock, lock-order-cycle,
 // blocking-under-lock, cv-wait-multi-lock):
@@ -25,24 +24,37 @@
 //   resolved where possible so `store->sync()` (void override) is not
 //   confused with `wal->sync()` (Status).
 //
-// Determinism-flow family (rules: wall-clock-alias, raw-random-alias,
-// unordered-alias-iter, unordered-encode-flow):
-//   using/typedef chains are resolved so a wall clock or raw RNG cannot hide
-//   behind an alias in deterministic code (zdc_lint only sees the literal
-//   banned token). Iteration over an unordered container — directly or via
-//   an alias — whose loop body feeds an Encoder or a trace fingerprint is
-//   flagged everywhere: unspecified iteration order must never reach wire
-//   bytes or fingerprints.
+// Determinism family (rules: wall-clock, wall-time, raw-random,
+// unordered-iter — deterministic dirs only; unordered-encode-flow —
+// everywhere):
+//   wall-clock      std::chrono clock types (steady_clock, system_clock, ...)
+//   wall-time       C time calls: time(), clock(), gettimeofday(), ...
+//   raw-random      unseeded/global randomness: std::random_device, rand(),
+//                   mt19937 & friends — use common::Rng
+//   unordered-iter  range-for or begin()/cbegin()/rbegin() walk over a
+//                   std::unordered_map/set — iteration order is unspecified
+//                   and breaks replayable schedules
+//   Each fires on the literal spelling (in macro bodies too) and on any
+//   using/typedef chain that grounds in a banned type; an alias declaration
+//   that spells the banned type literally is itself a finding. Iteration
+//   over an unordered container whose loop body feeds an Encoder or a trace
+//   fingerprint is flagged in every file (unordered-encode-flow).
 //
-// Suppression grammar (extends zdc_lint's allow markers; docs/ANALYSIS.md):
+// Hygiene family (every analyzed file):
+//   bare-assert     assert( — use ZDC_ASSERT (never compiled out, prints
+//                   node/time context)
+//   std-cout        std::cout — use zdc::log (leveled, thread-safe)
+//
+// Suppression grammar (docs/ANALYSIS.md), read from comments only:
 //   // zdc-analyze: allow(<rule>): <justification>        this/next line
 //   // zdc-analyze: allow-file(<rule>): <justification>   whole file
 // The justification is mandatory (allow-needs-reason) and the rule must
-// exist (unknown-allow); violations of the grammar are findings themselves.
+// exist (unknown-allow); a marker in any other `zdc-<tool>:` grammar is
+// unknown-allow too. Violations of the grammar are findings themselves.
 //
-// Like zdc_lint there is no clang dependency: the analyzer builds with the
-// project and runs as an ordinary ctest (zdc_analyze_src). clang-tidy and
-// the -Werror=thread-safety build remain the self-skipping complements.
+// There is no clang dependency: the analyzer builds with the project and
+// runs as an ordinary ctest (zdc_analyze_src). clang-tidy and the
+// -Werror=thread-safety build remain the self-skipping complements.
 #pragma once
 
 #include <map>
@@ -61,8 +73,9 @@ enum class Tok {
   kIdent,
   kPunct,
   kNumber,
-  kString,  ///< string literal (ordinary or raw), contents dropped
-  kChar,    ///< character literal, contents dropped
+  kString,   ///< string literal (ordinary or raw), contents dropped
+  kChar,     ///< character literal, contents dropped
+  kComment,  ///< comment text, only with `full` lexing
 };
 
 struct Token {
@@ -73,8 +86,11 @@ struct Token {
 
 /// Lexes one translation unit: comments, preprocessor directives (with line
 /// continuations) and literal contents are consumed; "::" and "->" are single
-/// tokens so qualification stays one token wide.
-std::vector<Token> lex(const std::string& src);
+/// tokens so qualification stays one token wide. With `full` set, directive
+/// bodies are lexed like code (the determinism and hygiene rules must see
+/// macro bodies) and each comment becomes a kComment token holding its text
+/// (allow markers are read from these only, never from string literals).
+std::vector<Token> lex(const std::string& src, bool full = false);
 
 // ---------------------------------------------------------------------------
 // Analysis input / output.
@@ -82,8 +98,9 @@ std::vector<Token> lex(const std::string& src);
 struct SourceFile {
   std::string path;     ///< as reported in findings
   std::string content;  ///< raw bytes of the file
-  /// Apply the determinism-flow rules (alias-resolved wall-clock/raw-random
-  /// bans). The unordered-encode-flow rule runs everywhere.
+  /// Apply the determinism rules (wall-clock, wall-time, raw-random,
+  /// unordered-iter). unordered-encode-flow and the hygiene rules run
+  /// everywhere.
   bool deterministic = false;
 };
 
@@ -122,8 +139,19 @@ struct RunConfig {
   /// Directories whose .h/.hpp/.cc/.cpp files are analyzed. tools/ is
   /// included: the analyzer must keep its own error handling honest.
   std::vector<std::string> analyze_dirs = {"src", "tools"};
-  /// Directories that additionally get the determinism-flow rules — the same
-  /// replay-bit-for-bit set zdc_lint uses (lint_core.h documents each entry).
+  /// Directories that additionally get the determinism rules: every
+  /// simulator run must replay bit-for-bit from a seed. src/obs is included:
+  /// the metrics registry must stay deterministic (the byte-identical-snapshot
+  /// contract); only the runtime trace recorder reads a wall clock, behind an
+  /// explicit allow marker. src/check is included because replay-file
+  /// byte-identity rests on the checker itself being deterministic (swarm
+  /// randomness goes through the seeded common::Rng). src/storage is included
+  /// because recovery must be reproducible: the WAL scan and the FaultyEnv
+  /// crash points may consult only bytes and scripted fault plans, never a
+  /// clock or ambient randomness. src/recovery is included for the same
+  /// reason — catch-up replay and snapshot install must depend only on
+  /// storage bytes and peer messages (its one latency histogram reads an
+  /// injected clock, not a wall clock).
   std::vector<std::string> det_dirs = {"src/sim",     "src/consensus",
                                        "src/abcast",  "src/wab",
                                        "src/core",    "src/fd",
@@ -136,7 +164,7 @@ struct RunConfig {
 /// every C++ source file as one program.
 std::vector<Finding> run(const RunConfig& cfg, LockGraph* graph = nullptr);
 
-/// "file:line: [rule] message" — one line per finding, zdc_lint-compatible.
+/// "file:line: [rule] message" — one line per finding.
 std::string format(const Finding& f);
 
 }  // namespace zdc::analyze
