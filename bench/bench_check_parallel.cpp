@@ -7,22 +7,17 @@
 // violation-free space it does the same work as the sequential DFS plus one
 // prefix replay per unit — the speedup column is (roughly) core count, and
 // on a single-core box it reads ~1× by design.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "bench_util.h"
 #include "check/explorer.h"
 #include "check/system.h"
 
 namespace {
 
 using namespace zdc;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_s;
 
 check::ScenarioSpec paxos_n3() {
   check::ScenarioSpec spec;

@@ -25,8 +25,7 @@
 // commit (N puts per fsync), and the WAL after compaction. The priced
 // quantities are sync_count — the recovery-cost metric the paper's
 // evaluation uses — plus reopen (recovery-scan) time and how many records
-// survive a kill -9. Emits machine-readable BENCH_recovery.json
-// (schema zdc-bench-recovery-v1); --validate schema-checks an artifact.
+// survive a kill -9.
 //
 // Part 3 (the catch-up protocol, docs/RECOVERY.md): catch-up time vs lag.
 // A restarted replica pulls the commands it missed from a live peer through
@@ -36,19 +35,18 @@
 // wire messages, entries applied and snapshots installed, as the lag grows
 // past the retention cap ("catchup_rows" in the JSON artifact).
 //
-// Usage:
-//   bench_recovery [--quick] [--out FILE] [--seed N]   # run + emit JSON
-//   bench_recovery --validate FILE                     # schema-check a JSON
-#include <chrono>
+// Emits BENCH_recovery.json (schema zdc-bench-recovery-v1) through
+// bench_main (bench_util.h): [--quick] [--out FILE] [--seed N], or
+// --validate FILE.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "abcast/delivery_log.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/stable_storage.h"
 #include "core/kv_store.h"
@@ -60,12 +58,6 @@
 
 namespace zdc::bench {
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // ---------------------------------------------------------------------------
 // Part 1: repeated consensus with a mid-sequence crash (unchanged series).
@@ -226,8 +218,7 @@ StorageRow run_storage(const std::string& kind, std::uint64_t puts,
   return row;
 }
 
-void run_storage_table(std::vector<StorageRow>* rows, bool quick,
-                       std::uint64_t seed) {
+void run_storage_table(ArtifactRows* rows, bool quick, std::uint64_t seed) {
   const std::uint64_t puts = quick ? 2'000 : 50'000;
   const std::uint64_t batch = 32;
   std::printf("=== Durable storage: acceptor workload, %llu puts "
@@ -243,7 +234,9 @@ void run_storage_table(std::vector<StorageRow>* rows, bool quick,
                 static_cast<unsigned long long>(row.syncs), row.puts_per_s,
                 row.reopen_ms,
                 static_cast<unsigned long long>(row.records_recovered));
-    rows->push_back(row);
+    rows->push_back({row.storage, row.puts, row.batch, row.syncs,
+                     row.puts_per_s, row.reopen_ms, row.records_recovered,
+                     row.seed});
   }
   std::printf(
       "\n# in-memory 'syncs' are free no-op barriers: fast, and a kill -9 "
@@ -333,8 +326,7 @@ CatchupRow run_catchup(std::uint64_t lag, std::uint64_t max_retained,
   return row;
 }
 
-void run_catchup_table(std::vector<CatchupRow>* rows, bool quick,
-                       std::uint64_t seed) {
+void run_catchup_table(ArtifactRows* rows, bool quick, std::uint64_t seed) {
   const std::uint64_t cap = quick ? 256 : 1024;
   const std::vector<std::uint64_t> lags =
       quick ? std::vector<std::uint64_t>{64, 256, 1024}
@@ -353,7 +345,8 @@ void run_catchup_table(std::vector<CatchupRow>* rows, bool quick,
                 static_cast<unsigned long long>(row.entries),
                 static_cast<unsigned long long>(row.snapshots),
                 static_cast<unsigned long long>(row.messages), row.catchup_ms);
-    rows->push_back(row);
+    rows->push_back({row.lag, row.max_retained, row.entries, row.snapshots,
+                     row.messages, row.catchup_ms});
   }
   std::printf(
       "\n# While the lag fits the peer's retention window, catch-up is pure "
@@ -365,295 +358,33 @@ void run_catchup_table(std::vector<CatchupRow>* rows, bool quick,
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission + validation (same shape as bench_hotpath's artifact).
 
-std::string to_json(const std::vector<StorageRow>& rows,
-                    const std::vector<CatchupRow>& catchup_rows, bool quick,
-                    std::uint64_t seed) {
-  std::string out = "{\n  \"schema\": \"zdc-bench-recovery-v1\",\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "  \"quick\": %s,\n  \"seed_base\": %llu,\n",
-                quick ? "true" : "false",
-                static_cast<unsigned long long>(seed));
-  out += buf;
-  out += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const StorageRow& r = rows[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"storage\": \"%s\", \"puts\": %llu, \"batch\": %llu, "
-        "\"syncs\": %llu, \"puts_per_s\": %.1f, \"reopen_ms\": %.4f, "
-        "\"records_recovered\": %llu, \"seed\": %llu}%s\n",
-        r.storage.c_str(), static_cast<unsigned long long>(r.puts),
-        static_cast<unsigned long long>(r.batch),
-        static_cast<unsigned long long>(r.syncs), r.puts_per_s, r.reopen_ms,
-        static_cast<unsigned long long>(r.records_recovered),
-        static_cast<unsigned long long>(r.seed),
-        i + 1 == rows.size() ? "" : ",");
-    out += buf;
-  }
-  out += "  ],\n  \"catchup_rows\": [\n";
-  for (std::size_t i = 0; i < catchup_rows.size(); ++i) {
-    const CatchupRow& r = catchup_rows[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"lag\": %llu, \"max_retained\": %llu, \"entries\": %llu, "
-        "\"snapshots\": %llu, \"messages\": %llu, \"catchup_ms\": %.4f}%s\n",
-        static_cast<unsigned long long>(r.lag),
-        static_cast<unsigned long long>(r.max_retained),
-        static_cast<unsigned long long>(r.entries),
-        static_cast<unsigned long long>(r.snapshots),
-        static_cast<unsigned long long>(r.messages), r.catchup_ms,
-        i + 1 == catchup_rows.size() ? "" : ",");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
-}
+const ArtifactSchema kSchema{
+    "zdc-bench-recovery-v1",
+    "BENCH_recovery.json",
+    {{"rows",
+      {text_field("storage"), count_field("puts"), count_field("batch"),
+       count_field("syncs"), real_field("puts_per_s", 1),
+       real_field("reopen_ms", 4), count_field("records_recovered"),
+       count_field("seed")}},
+     {"catchup_rows",
+      {count_field("lag"), count_field("max_retained"), count_field("entries"),
+       count_field("snapshots"), count_field("messages"),
+       real_field("catchup_ms", 4)}}}};
 
-/// Minimal strict parser for the subset this bench emits — catches truncated
-/// files, missing keys and type confusion.
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool fail = false;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  std::string parse_string() {
-    skip_ws();
-    if (p >= end || *p != '"') {
-      fail = true;
-      return {};
-    }
-    ++p;
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        fail = true;  // the bench never emits escapes
-        return {};
-      }
-      s += *p++;
-    }
-    if (!consume('"')) return {};
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double v = std::strtod(p, &after);
-    if (after == p) {
-      fail = true;
-      return 0;
-    }
-    p = after;
-    return v;
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-      p += 5;
-      return false;
-    }
-    fail = true;
-    return false;
-  }
-};
-
-/// Returns an empty string when `text` conforms, else a one-line diagnostic.
-std::string validate_json(const std::string& text) {
-  JsonParser j{text.data(), text.data() + text.size()};
-  if (!j.consume('{')) return "not a JSON object";
-
-  bool saw_schema = false;
-  bool saw_rows = false;
-  std::size_t row_count = 0;
-  for (;;) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad key";
-    if (!j.consume(':')) return "missing ':' after " + key;
-    if (key == "schema") {
-      const std::string v = j.parse_string();
-      if (v != "zdc-bench-recovery-v1") return "unknown schema '" + v + "'";
-      saw_schema = true;
-    } else if (key == "quick") {
-      j.parse_bool();
-    } else if (key == "seed_base") {
-      j.parse_number();
-    } else if (key == "rows") {
-      saw_rows = true;
-      if (!j.consume('[')) return "rows is not an array";
-      while (!j.peek(']')) {
-        if (!j.consume('{')) return "row is not an object";
-        static const char* kKeys[8] = {
-            "storage",   "puts",      "batch",
-            "syncs",     "puts_per_s", "reopen_ms",
-            "records_recovered", "seed"};
-        bool has[8] = {};
-        while (!j.peek('}')) {
-          const std::string rk = j.parse_string();
-          if (!j.consume(':')) return "row missing ':'";
-          if (rk == "storage") {
-            if (j.parse_string().empty()) return "empty storage";
-          } else {
-            j.parse_number();
-          }
-          if (j.fail) return "bad value for row key " + rk;
-          for (int i = 0; i < 8; ++i) {
-            if (rk == kKeys[i]) has[i] = true;
-          }
-          if (!j.peek('}')) {
-            if (!j.consume(',')) return "row missing ','";
-          }
-        }
-        j.consume('}');
-        for (int i = 0; i < 8; ++i) {
-          if (!has[i]) return std::string("row missing key ") + kKeys[i];
-        }
-        ++row_count;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "rows missing ','";
-        }
-      }
-      j.consume(']');
-    } else if (key == "catchup_rows") {
-      // Optional (pre-catch-up artifacts lack it): catch-up time vs lag.
-      if (!j.consume('[')) return "catchup_rows is not an array";
-      while (!j.peek(']')) {
-        if (!j.consume('{')) return "catchup row is not an object";
-        static const char* kKeys[6] = {"lag",       "max_retained",
-                                       "entries",   "snapshots",
-                                       "messages",  "catchup_ms"};
-        bool has[6] = {};
-        while (!j.peek('}')) {
-          const std::string rk = j.parse_string();
-          if (!j.consume(':')) return "catchup row missing ':'";
-          j.parse_number();
-          if (j.fail) return "bad value for catchup row key " + rk;
-          for (int i = 0; i < 6; ++i) {
-            if (rk == kKeys[i]) has[i] = true;
-          }
-          if (!j.peek('}')) {
-            if (!j.consume(',')) return "catchup row missing ','";
-          }
-        }
-        j.consume('}');
-        for (int i = 0; i < 6; ++i) {
-          if (!has[i]) {
-            return std::string("catchup row missing key ") + kKeys[i];
-          }
-        }
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "catchup_rows missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after key " + key;
-    if (j.peek('}')) break;
-    if (!j.consume(',')) return "missing ',' between keys";
-  }
-  j.consume('}');
-  j.skip_ws();
-  if (j.p != j.end) return "trailing garbage";
-  if (!saw_schema) return "missing schema";
-  if (!saw_rows) return "missing rows";
-  if (row_count == 0) return "rows is empty";
-  return {};
-}
-
-int validate_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "validate: cannot open %s\n", path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  const std::string err = validate_json(text);
-  if (!err.empty()) {
-    std::fprintf(stderr, "validate: %s: %s\n", path, err.c_str());
-    return 1;
-  }
-  std::printf("validate: %s conforms to zdc-bench-recovery-v1\n", path);
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-
-int run(int argc, char** argv) {
-  bool quick = false;
-  const char* out_path = "BENCH_recovery.json";
-  std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--validate" && i + 1 < argc) {
-      return validate_file(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_recovery [--quick] [--out FILE] [--seed N] | "
-                   "--validate FILE\n");
-      return 2;
-    }
-  }
-
+std::vector<ArtifactRows> produce(bool quick, std::uint64_t seed) {
   if (!quick) run_sequence_table();  // the protocol-level series (stdout only)
 
-  std::vector<StorageRow> rows;
-  run_storage_table(&rows, quick, seed);
-  std::vector<CatchupRow> catchup_rows;
-  run_catchup_table(&catchup_rows, quick, seed);
-
-  const std::string json = to_json(rows, catchup_rows, quick, seed);
-  const std::string err = validate_json(json);
-  if (!err.empty()) {
-    std::fprintf(stderr, "emitted JSON fails own validation: %s\n",
-                 err.c_str());
-    return 1;
-  }
-  std::FILE* f = std::fopen(out_path, "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", out_path, rows.size());
-  return 0;
+  std::vector<ArtifactRows> tables(2);  // rows, catchup_rows
+  run_storage_table(&tables[0], quick, seed);
+  run_catchup_table(&tables[1], quick, seed);
+  return tables;
 }
 
 }  // namespace
 }  // namespace zdc::bench
 
-int main(int argc, char** argv) { return zdc::bench::run(argc, argv); }
+int main(int argc, char** argv) {
+  return zdc::bench::bench_main(argc, argv, zdc::bench::kSchema,
+                                zdc::bench::produce);
+}

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Runs a perf harness and emits its machine-readable JSON artifact, then
 # validates the artifact against the schema with the bench's own --validate
-# mode. Default harness is the hot path (BENCH_hotpath.json, docs/PERF.md);
-# --recovery runs the recovery/durable-storage harness instead
-# (BENCH_recovery.json, docs/STORAGE.md); --service runs the session/
-# read-index service harness (BENCH_service.json, docs/SERVICE.md).
+# mode (one writer/validator for all three, in bench/bench_util.h). Default
+# harness is the hot path (BENCH_hotpath.json, docs/PERF.md); --recovery
+# runs the recovery/durable-storage harness instead (BENCH_recovery.json,
+# docs/STORAGE.md); --service runs the session/read-index service harness
+# (BENCH_service.json, docs/SERVICE.md). The default output is
+# BENCH_<harness>.json.
 #
 #   scripts/bench.sh                 # full sweep  -> BENCH_hotpath.json
 #   scripts/bench.sh --recovery      # storage cost -> BENCH_recovery.json
-#   scripts/bench.sh --service      # service paths -> BENCH_service.json
+#   scripts/bench.sh --service       # service paths -> BENCH_service.json
 #   scripts/bench.sh --quick         # tiny smoke sweep (the tier-1 ctest)
 #   scripts/bench.sh --out FILE      # write the JSON elsewhere
 #   BUILD_DIR=build-foo scripts/bench.sh   # use a different build tree
@@ -34,15 +36,7 @@ while [ $# -gt 0 ]; do
   esac
   shift
 done
-if [ -z "$OUT" ]; then
-  if [ "$TARGET" = "bench_recovery" ]; then
-    OUT="BENCH_recovery.json"
-  elif [ "$TARGET" = "bench_service" ]; then
-    OUT="BENCH_service.json"
-  else
-    OUT="BENCH_hotpath.json"
-  fi
-fi
+OUT=${OUT:-BENCH_${TARGET#bench_}.json}
 
 BIN="$BUILD_DIR/bench/$TARGET"
 if [ ! -x "$BIN" ]; then

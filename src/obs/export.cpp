@@ -1,9 +1,11 @@
 #include "obs/export.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <string_view>
+
+#include "common/json_reader.h"
 
 namespace zdc::obs {
 namespace {
@@ -132,247 +134,131 @@ std::string to_prometheus(const MetricsRegistry::Snapshot& snap) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: a minimal parser for the subset to_json emits, strict enough to
-// catch truncated files, missing keys, arity mismatches and type confusion
-// (the same discipline as bench_hotpath's BENCH_hotpath.json validator).
+// Validation walks the document common::parse_json reads, so truncated
+// files, non-JSON numbers and duplicate keys fail before any schema rule.
 
 namespace {
 
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool fail = false;
+using common::JsonValue;
+using Type = JsonValue::Type;
 
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      ++p;
+/// "" when every key of `obj` is in `allowed`, else the diagnostic for the
+/// first one that is not.
+std::string unknown_key(const JsonValue& obj,
+                        std::initializer_list<std::string_view> allowed,
+                        const std::string& what) {
+  for (const auto& member : obj.members) {
+    if (std::find(allowed.begin(), allowed.end(), member.first) ==
+        allowed.end()) {
+      return "unknown " + what + "key '" + member.first + "'";
     }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  std::string parse_string() {
-    skip_ws();
-    if (p >= end || *p != '"') {
-      fail = true;
-      return {};
-    }
-    ++p;
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        fail = true;  // the exporter never emits escapes
-        return {};
-      }
-      s += *p++;
-    }
-    if (!consume('"')) return {};
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double v = std::strtod(p, &after);
-    if (after == p) {
-      fail = true;
-      return 0;
-    }
-    p = after;
-    return v;
-  }
-};
-
-// Parses {"k": "v", ...}; returns false on malformed input.
-bool parse_labels(JsonParser& j) {
-  if (!j.consume('{')) return false;
-  while (!j.peek('}')) {
-    if (j.parse_string().empty()) return false;
-    if (!j.consume(':')) return false;
-    j.parse_string();
-    if (j.fail) return false;
-    if (!j.peek('}')) {
-      if (!j.consume(',')) return false;
-    }
-  }
-  return j.consume('}');
-}
-
-// Parses [n, n, ...] into `out`; empty arrays are accepted.
-bool parse_number_array(JsonParser& j, std::vector<double>* out) {
-  if (!j.consume('[')) return false;
-  while (!j.peek(']')) {
-    out->push_back(j.parse_number());
-    if (j.fail) return false;
-    if (!j.peek(']')) {
-      if (!j.consume(',')) return false;
-    }
-  }
-  return j.consume(']');
-}
-
-bool is_nonneg_integer(double v) {
-  return v >= 0.0 && v == std::floor(v);
-}
-
-std::string validate_point(JsonParser& j, const std::string& type) {
-  if (!j.consume('{')) return "point is not an object";
-  bool saw_labels = false;
-  bool saw_value = false;
-  bool saw_count = false;
-  bool saw_sum = false;
-  double count = 0.0;
-  std::vector<double> bounds;
-  std::vector<double> buckets;
-  while (!j.peek('}')) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad point key";
-    if (!j.consume(':')) return "point missing ':' after " + key;
-    if (key == "labels") {
-      if (!parse_labels(j)) return "malformed labels object";
-      saw_labels = true;
-    } else if (key == "value") {
-      const double v = j.parse_number();
-      if (type == "counter" && !is_nonneg_integer(v)) {
-        return "counter value is not a non-negative integer";
-      }
-      saw_value = true;
-    } else if (key == "count") {
-      count = j.parse_number();
-      if (!is_nonneg_integer(count)) return "count is not an integer";
-      saw_count = true;
-    } else if (key == "sum") {
-      j.parse_number();
-      saw_sum = true;
-    } else if (key == "bounds") {
-      if (!parse_number_array(j, &bounds)) return "malformed bounds array";
-    } else if (key == "buckets") {
-      if (!parse_number_array(j, &buckets)) return "malformed buckets array";
-    } else {
-      return "unknown point key '" + key + "'";
-    }
-    if (j.fail) return "bad value for point key " + key;
-    if (!j.peek('}')) {
-      if (!j.consume(',')) return "point missing ','";
-    }
-  }
-  j.consume('}');
-  if (!saw_labels) return "point missing labels";
-  if (type == "histogram") {
-    if (!saw_count || !saw_sum) return "histogram point missing count/sum";
-    if (buckets.size() != bounds.size() + 1) {
-      return "buckets arity != bounds + 1";
-    }
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      if (!(bounds[i - 1] < bounds[i])) return "bounds not ascending";
-    }
-    double total = 0.0;
-    for (double b : buckets) {
-      if (!is_nonneg_integer(b)) return "bucket count is not an integer";
-      total += b;
-    }
-    if (total != count) return "bucket counts do not sum to count";
-  } else {
-    if (!saw_value) return "point missing value";
   }
   return {};
 }
 
-std::string validate_family(JsonParser& j) {
-  if (!j.consume('{')) return "family is not an object";
-  bool saw_name = false;
-  std::string type;
-  bool saw_points = false;
-  while (!j.peek('}')) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad family key";
-    if (!j.consume(':')) return "family missing ':' after " + key;
-    if (key == "name") {
-      if (j.parse_string().empty()) return "empty family name";
-      saw_name = true;
-    } else if (key == "type") {
-      type = j.parse_string();
-      if (type != "counter" && type != "gauge" && type != "histogram") {
-        return "unknown family type '" + type + "'";
-      }
-    } else if (key == "points") {
-      if (type.empty()) return "points before type";
-      saw_points = true;
-      if (!j.consume('[')) return "points is not an array";
-      while (!j.peek(']')) {
-        const std::string err = validate_point(j, type);
-        if (!err.empty()) return err;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "points missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown family key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after family key " + key;
-    if (!j.peek('}')) {
-      if (!j.consume(',')) return "family missing ','";
+std::string validate_point(const JsonValue& pt, const std::string& type) {
+  if (!pt.is(Type::kObject)) return "point is not an object";
+  std::string err = unknown_key(
+      pt, {"labels", "value", "count", "sum", "bounds", "buckets"}, "point ");
+  if (!err.empty()) return err;
+  const JsonValue* labels = pt.find("labels");
+  if (labels == nullptr) return "point missing labels";
+  if (!labels->is(Type::kObject)) return "malformed labels object";
+  for (const auto& [key, value] : labels->members) {
+    if (key.empty() || !value.is(Type::kString)) {
+      return "malformed labels object";
     }
   }
-  j.consume('}');
-  if (!saw_name) return "family missing name";
-  if (type.empty()) return "family missing type";
-  if (!saw_points) return "family missing points";
+  if (type != "histogram") {
+    const JsonValue* value = pt.find("value");
+    if (value == nullptr) return "point missing value";
+    if (!value->is(Type::kNumber)) return "value is not a number";
+    if (type == "counter" && !value->is_count()) {
+      return "counter value is not a non-negative integer";
+    }
+    return {};
+  }
+  const JsonValue* count = pt.find("count");
+  const JsonValue* sum = pt.find("sum");
+  if (count == nullptr || sum == nullptr) {
+    return "histogram point missing count/sum";
+  }
+  if (!count->is_count()) return "count is not an integer";
+  if (!sum->is(Type::kNumber)) return "sum is not a number";
+  const JsonValue* bounds = pt.find("bounds");
+  const JsonValue* buckets = pt.find("buckets");
+  if (bounds == nullptr || !bounds->is(Type::kArray)) {
+    return "malformed bounds array";
+  }
+  if (buckets == nullptr || !buckets->is(Type::kArray)) {
+    return "malformed buckets array";
+  }
+  if (buckets->items.size() != bounds->items.size() + 1) {
+    return "buckets arity != bounds + 1";
+  }
+  for (std::size_t i = 0; i < bounds->items.size(); ++i) {
+    if (!bounds->items[i].is(Type::kNumber)) return "malformed bounds array";
+    if (i > 0 && !(bounds->items[i - 1].number < bounds->items[i].number)) {
+      return "bounds not ascending";
+    }
+  }
+  double total = 0.0;
+  for (const JsonValue& b : buckets->items) {
+    if (!b.is_count()) return "bucket count is not an integer";
+    total += b.number;
+  }
+  if (total != count->number) return "bucket counts do not sum to count";
+  return {};
+}
+
+std::string validate_family(const JsonValue& fam) {
+  if (!fam.is(Type::kObject)) return "family is not an object";
+  std::string err = unknown_key(fam, {"name", "type", "points"}, "family ");
+  if (!err.empty()) return err;
+  const JsonValue* name = fam.find("name");
+  const JsonValue* type = fam.find("type");
+  const JsonValue* points = fam.find("points");
+  if (name == nullptr) return "family missing name";
+  if (!name->is(Type::kString) || name->text.empty()) {
+    return "empty family name";
+  }
+  if (type == nullptr) return "family missing type";
+  if (!type->is(Type::kString) ||
+      (type->text != "counter" && type->text != "gauge" &&
+       type->text != "histogram")) {
+    return "unknown family type '" + type->text + "'";
+  }
+  if (points == nullptr) return "family missing points";
+  if (!points->is(Type::kArray)) return "points is not an array";
+  for (const JsonValue& pt : points->items) {
+    err = validate_point(pt, type->text);
+    if (!err.empty()) return err;
+  }
   return {};
 }
 
 }  // namespace
 
 std::string validate_metrics_json(const std::string& text) {
-  JsonParser j{text.data(), text.data() + text.size()};
-  if (!j.consume('{')) return "not a JSON object";
-
-  bool saw_schema = false;
-  bool saw_families = false;
-  std::size_t family_count = 0;
-  for (;;) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad key";
-    if (!j.consume(':')) return "missing ':' after " + key;
-    if (key == "schema") {
-      const std::string v = j.parse_string();
-      if (v != "zdc-metrics-v1") return "unknown schema '" + v + "'";
-      saw_schema = true;
-    } else if (key == "families") {
-      saw_families = true;
-      if (!j.consume('[')) return "families is not an array";
-      while (!j.peek(']')) {
-        const std::string err = validate_family(j);
-        if (!err.empty()) return err;
-        ++family_count;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "families missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after key " + key;
-    if (j.peek('}')) break;
-    if (!j.consume(',')) return "missing ',' between keys";
+  JsonValue doc;
+  std::string err = common::parse_json(text, &doc);
+  if (!err.empty()) return err;
+  if (!doc.is(Type::kObject)) return "not a JSON object";
+  err = unknown_key(doc, {"schema", "families"}, "");
+  if (!err.empty()) return err;
+  const JsonValue* schema = doc.find("schema");
+  if (schema == nullptr) return "missing schema";
+  if (!schema->is(Type::kString) || schema->text != "zdc-metrics-v1") {
+    return "unknown schema '" + schema->text + "'";
   }
-  j.consume('}');
-  j.skip_ws();
-  if (j.p != j.end) return "trailing garbage";
-  if (!saw_schema) return "missing schema";
-  if (!saw_families) return "missing families";
-  if (family_count == 0) return "families is empty";
+  const JsonValue* families = doc.find("families");
+  if (families == nullptr) return "missing families";
+  if (!families->is(Type::kArray)) return "families is not an array";
+  if (families->items.empty()) return "families is empty";
+  for (const JsonValue& fam : families->items) {
+    err = validate_family(fam);
+    if (!err.empty()) return err;
+  }
   return {};
 }
 

@@ -1,6 +1,7 @@
-// Metric snapshot exporters: schema-validated JSON ("zdc-metrics-v1", same
-// emit/validate discipline as bench's BENCH_hotpath.json) and Prometheus
-// text exposition format.
+// Metric snapshot exporters: schema-validated JSON ("zdc-metrics-v1") and
+// Prometheus text exposition format. The validator walks the document read
+// by common::parse_json (common/json_reader.h), the one strict JSON reader
+// that the BENCH_*.json artifact validator also uses.
 //
 // Both serializers are pure functions of a MetricsRegistry::Snapshot, whose
 // family and point ordering is deterministic — a fixed-seed sim run therefore

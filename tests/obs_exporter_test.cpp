@@ -107,6 +107,33 @@ TEST(Exporter, ValidatorRejectsMalformedDocuments) {
   EXPECT_EQ(validate_metrics_json(good + "x"), "trailing garbage");
 }
 
+// The shared strict reader underneath: only JSON-grammar numbers, and each
+// key once per object.
+TEST(Exporter, ValidatorRejectsNonJsonNumbersAndDuplicateKeys) {
+  auto gauge_doc = [](const std::string& point) {
+    return "{\"schema\": \"zdc-metrics-v1\", \"families\": ["
+           "{\"name\": \"g\", \"type\": \"gauge\", \"points\": [" +
+           point + "]}]}";
+  };
+  EXPECT_EQ(validate_metrics_json(gauge_doc("{\"labels\": {}, \"value\": 1}")),
+            "");
+  EXPECT_EQ(
+      validate_metrics_json(gauge_doc("{\"labels\": {}, \"value\": nan}")),
+      "bad value 'nan'");
+  EXPECT_EQ(
+      validate_metrics_json(gauge_doc("{\"labels\": {}, \"value\": 0x10}")),
+      "bad value '0x10'");
+  EXPECT_EQ(
+      validate_metrics_json(gauge_doc("{\"labels\": {}, \"value\": -inf}")),
+      "bad value '-inf'");
+  EXPECT_EQ(
+      validate_metrics_json(gauge_doc("{\"labels\": {}, \"value\": +1}")),
+      "bad value '+1'");
+  EXPECT_EQ(validate_metrics_json(
+                gauge_doc("{\"labels\": {}, \"value\": 1, \"value\": 2}")),
+            "duplicate key 'value'");
+}
+
 // The determinism contract: two sim runs with identical configs produce
 // byte-identical metrics JSON (counter bumps never touch the RNG or the
 // event queue, and snapshot/export ordering is canonical).
