@@ -15,9 +15,10 @@
 // Emits BENCH_hotpath.json (schema zdc-bench-hotpath-v1) through bench_main
 // (bench_util.h): [--quick] [--out FILE] [--seed N], or --validate FILE.
 //
-// The legacy replicas live in this binary on purpose: the ">= 2x on at least
-// one hot-path metric" acceptance stays mechanically checkable against the
-// pre-PR code forever, not just against a one-off measurement.
+// The legacy replicas live in this binary so each run reports the codec and
+// event-queue rows side by side with the code they replaced. The ratio is
+// reported, not gated: nothing checks it, and the committed event-queue row
+// is slower than its replica.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>

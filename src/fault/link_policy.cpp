@@ -1,6 +1,7 @@
 #include "fault/link_policy.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -73,8 +74,20 @@ void LinkPolicy::pause(ProcessId p) {
 
 void LinkPolicy::resume(ProcessId p) {
   ZDC_ASSERT(p < n_);
+  std::function<void(ProcessId)> hook;
+  {
+    common::MutexLock lock(mu_);
+    paused_[p] = 0;
+    hook = resume_hook_;
+  }
+  // Outside mu_: the hook takes the executor's lane mutex, and lanes read
+  // paused() under that mutex (lane -> policy is the one lock order).
+  if (hook) hook(p);
+}
+
+void LinkPolicy::set_resume_hook(std::function<void(ProcessId)> hook) {
   common::MutexLock lock(mu_);
-  paused_[p] = 0;
+  resume_hook_ = std::move(hook);
 }
 
 bool LinkPolicy::paused(ProcessId p) const {

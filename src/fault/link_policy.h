@@ -22,6 +22,9 @@
 // VM migration): its handlers and timers do not run until resume, its inbound
 // traffic queues up, and — crucially — its heartbeats stop, so a real ◇P
 // implementation falsely suspects it. Pause is not crash: no state is lost.
+// The threaded runtime's executor blocks a paused process outright and
+// installs a resume hook to wake it (no polling); the simulator, which
+// checks paused() at each delivery, leaves the hook unset.
 //
 // Thread safety: mutations and reads are mutex-guarded; a relaxed `active_`
 // flag lets the fabrics skip the lock entirely until the first fault is ever
@@ -30,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -86,8 +90,14 @@ class LinkPolicy {
   void heal() ZDC_EXCLUDES(mu_);
 
   void pause(ProcessId p) ZDC_EXCLUDES(mu_);
+  /// Clears p's pause, then calls the resume hook (if any) with p, outside
+  /// the policy mutex.
   void resume(ProcessId p) ZDC_EXCLUDES(mu_);
   [[nodiscard]] bool paused(ProcessId p) const ZDC_EXCLUDES(mu_);
+
+  /// Set by runtime::Executor to wake a paused lane on resume; nullptr
+  /// unsets it. Not a user option: one executor owns the hook at a time.
+  void set_resume_hook(std::function<void(ProcessId)> hook) ZDC_EXCLUDES(mu_);
 
   // --- Corruption budgets (FaultPlan flip / scorrupt / equivocate) ---
   //
@@ -139,6 +149,7 @@ class LinkPolicy {
   /// n*n, row-major [from*n + to]
   std::vector<LinkState> links_ ZDC_GUARDED_BY(mu_);
   std::vector<std::uint8_t> paused_ ZDC_GUARDED_BY(mu_);
+  std::function<void(ProcessId)> resume_hook_ ZDC_GUARDED_BY(mu_);
 
   struct CorruptBudget {
     std::uint64_t count = 0;

@@ -1,5 +1,6 @@
 #include "runtime/consensus_runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "consensus/recovering_paxos.h"
+#include "runtime/runtime_node.h"
 
 namespace zdc::runtime {
 
@@ -222,22 +224,12 @@ bool ConsensusRunner::agreement_violated() const {
 
 bool ConsensusRunner::wait_decided(const std::vector<ProcessId>& procs,
                                    double timeout_ms) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(timeout_ms));
-  for (;;) {
-    bool all = true;
-    for (ProcessId p : procs) {
-      if (!decided(p)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  return RuntimeCluster::wait_until(
+      [&] {
+        return std::all_of(procs.begin(), procs.end(),
+                           [this](ProcessId p) { return decided(p); });
+      },
+      timeout_ms);
 }
 
 common::StableStorage& ConsensusRunner::storage(ProcessId p) {

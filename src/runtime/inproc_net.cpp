@@ -1,78 +1,46 @@
 #include "runtime/inproc_net.h"
 
-#include <chrono>
-#include <mutex>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/mutex.h"
+#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "fault/corrupt.h"
 
 namespace zdc::runtime {
 
-using Clock = std::chrono::steady_clock;
-
-struct InprocNetwork::Item {
-  Clock::time_point due;
-  std::uint64_t seq = 0;
-  bool is_timer = false;
-  Delivery delivery;
-  std::function<void()> timer_fn;
-};
-
-struct InprocNetwork::Mailbox {
-  explicit Mailbox(std::uint64_t seed) : rng(seed) {}
-
-  struct Later {
-    bool operator()(const std::shared_ptr<Item>& a,
-                    const std::shared_ptr<Item>& b) const {
-      if (a->due != b->due) return a->due > b->due;
-      return a->seq > b->seq;
-    }
-  };
+/// The receiving side of one process's wire: the delay/loss RNG senders on
+/// any thread draw from, guarded by its own mutex (never held while posting).
+struct InprocNetwork::Inbox {
+  explicit Inbox(std::uint64_t seed) : rng(seed) {}
 
   common::Mutex mu;
-  std::condition_variable cv;
-  std::priority_queue<std::shared_ptr<Item>, std::vector<std::shared_ptr<Item>>,
-                      Later>
-      queue ZDC_GUARDED_BY(mu);
   common::Rng rng ZDC_GUARDED_BY(mu);
-  std::uint64_t next_seq ZDC_GUARDED_BY(mu) = 0;
-  bool busy ZDC_GUARDED_BY(mu) = false;  // worker is executing a handler
-
-  // Pre-registered metric handles, labeled by this (receiving) mailbox's
-  // process; null when metrics are off. The metrics themselves are atomics,
-  // so updating them under mu is incidental, not required.
-  obs::Counter* enqueued_ctr = nullptr;
+  /// Null when metrics are off; an atomic counter, safe from any thread.
   obs::Counter* dropped_ctr = nullptr;
-  obs::Gauge* depth_gauge = nullptr;
 
-  /// Injected delay for one inbound message (this mailbox's rng).
-  double sample_delay(const Config& cfg, Channel channel) ZDC_REQUIRES(mu) {
-    double delay = rng.uniform(cfg.min_delay_ms, cfg.max_delay_ms);
-    if (channel == Channel::kWab) {
-      delay += rng.exponential(cfg.wab_jitter_mean_ms);
-    }
-    return delay;
+  void note_drop() const {
+    if (dropped_ctr != nullptr) dropped_ctr->inc();
   }
 };
 
-InprocNetwork::InprocNetwork(Config cfg) : cfg_(cfg), links_(cfg.n) {
+InprocNetwork::InprocNetwork(Config cfg)
+    : cfg_(cfg), links_(cfg.n), executor_(cfg.n, links_) {
   ZDC_ASSERT(cfg.n > 0);
   common::Rng seeder(cfg.seed);
-  mailboxes_.reserve(cfg.n);
-  crashed_.reserve(cfg.n);
+  inboxes_.reserve(cfg.n);
   for (std::uint32_t p = 0; p < cfg.n; ++p) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(seeder.next_u64()));
-    crashed_.push_back(std::make_unique<std::atomic<bool>>(false));
+    inboxes_.push_back(std::make_unique<Inbox>(seeder.next_u64()));
     if (cfg.metrics != nullptr) {
-      Mailbox& box = *mailboxes_.back();
-      box.enqueued_ctr = &cfg.metrics->counter(
-          "zdc_inproc_messages_total", obs::process_label(p));
-      box.dropped_ctr = &cfg.metrics->counter("zdc_inproc_dropped_total",
-                                              obs::process_label(p));
-      box.depth_gauge = &cfg.metrics->gauge("zdc_inproc_queue_depth",
-                                            obs::process_label(p));
+      inboxes_.back()->dropped_ctr = &cfg.metrics->counter(
+          "zdc_inproc_dropped_total", obs::process_label(p));
+      executor_.set_metrics(
+          p,
+          &cfg.metrics->counter("zdc_inproc_messages_total",
+                                obs::process_label(p)),
+          &cfg.metrics->gauge("zdc_inproc_queue_depth",
+                              obs::process_label(p)));
     }
   }
   handlers_.resize(cfg.n);
@@ -82,89 +50,63 @@ InprocNetwork::~InprocNetwork() { shutdown(); }
 
 void InprocNetwork::set_handler(ProcessId p, Handler handler) {
   ZDC_ASSERT(p < cfg_.n);
-  ZDC_ASSERT_MSG(!running_.load(), "handlers must be set before start()");
+  ZDC_ASSERT_MSG(!executor_.running(), "handlers must be set before start()");
   handlers_[p] = std::move(handler);
 }
 
-void InprocNetwork::start() {
-  ZDC_ASSERT(!running_.exchange(true));
-  workers_.reserve(cfg_.n);
-  for (std::uint32_t p = 0; p < cfg_.n; ++p) {
-    workers_.emplace_back([this, p] { worker_loop(p); });
-  }
-}
-
-void InprocNetwork::shutdown() {
-  if (!running_.load()) return;
-  stopping_.store(true);
-  for (auto& box : mailboxes_) {
-    common::MutexLock lock(box->mu);
-    box->cv.notify_all();
-  }
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  running_.store(false);
-}
-
-void InprocNetwork::push(ProcessId to, Item item) {
-  Mailbox& box = *mailboxes_[to];
+void InprocNetwork::push(ProcessId to, Delivery delivery) {
+  Inbox& inbox = *inboxes_[to];
+  double delay = 0.0;
   {
-    common::MutexLock lock(box.mu);
-    item.seq = box.next_seq++;
-    if (!item.is_timer) {
-      // Sample injected delay with the receiver's RNG (deterministic given
-      // arrival order is not required here — this is the concurrent runtime).
-      if (item.delivery.channel == Channel::kWab &&
-          cfg_.wab_loss_prob > 0.0 && box.rng.chance(cfg_.wab_loss_prob)) {
-        if (box.dropped_ctr != nullptr) box.dropped_ctr->inc();
-        return;  // best-effort datagram lost
-      }
-      double delay = box.sample_delay(cfg_, item.delivery.channel);
-      const fault::LinkState link = links_.link(item.delivery.from, to);
-      if (!link.clean()) {
-        if (!is_reliable(item.delivery.channel) &&
-            (link.blocked ||
-             (link.drop_prob > 0.0 && box.rng.chance(link.drop_prob)))) {
-          if (box.dropped_ctr != nullptr) box.dropped_ctr->inc();
-          return;  // best-effort traffic on a faulty link is simply lost
-        }
-        delay += link.extra_delay_ms;
-        if (is_reliable(item.delivery.channel) &&
-            link.drop_prob > 0.0 && link.drop_prob < 1.0) {
-          // No datagram level here, so loss surfaces as retransmission
-          // delay: one modeled RTO per lost attempt, geometric count.
-          while (box.rng.chance(link.drop_prob)) delay += 1.0;
-        }
-        // A *blocked* reliable message still enters the queue; the worker
-        // re-parks it until the link heals (TCP stalls, it does not lose).
-      }
-      item.due = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double, std::milli>(
-                                        delay));
+    common::MutexLock lock(inbox.mu);
+    // Sampled with the receiver's RNG (deterministic given arrival order is
+    // not required here — this is the concurrent runtime).
+    if (delivery.channel == Channel::kWab && cfg_.wab_loss_prob > 0.0 &&
+        inbox.rng.chance(cfg_.wab_loss_prob)) {
+      inbox.note_drop();
+      return;  // best-effort datagram lost
     }
-    box.queue.push(std::make_shared<Item>(std::move(item)));
-    if (box.enqueued_ctr != nullptr) {
-      box.enqueued_ctr->inc();
-      box.depth_gauge->set(static_cast<double>(box.queue.size()));
+    delay = inbox.rng.uniform(cfg_.min_delay_ms, cfg_.max_delay_ms);
+    if (delivery.channel == Channel::kWab) {
+      delay += inbox.rng.exponential(cfg_.wab_jitter_mean_ms);
+    }
+    const fault::LinkState link = links_.link(delivery.from, to);
+    if (!link.clean()) {
+      if (!is_reliable(delivery.channel) &&
+          (link.blocked ||
+           (link.drop_prob > 0.0 && inbox.rng.chance(link.drop_prob)))) {
+        inbox.note_drop();
+        return;  // best-effort traffic on a faulty link is simply lost
+      }
+      delay += link.extra_delay_ms;
+      if (is_reliable(delivery.channel) && link.drop_prob > 0.0 &&
+          link.drop_prob < 1.0) {
+        // No datagram level here, so loss surfaces as retransmission
+        // delay: one modeled RTO per lost attempt, geometric count.
+        while (inbox.rng.chance(link.drop_prob)) delay += 1.0;
+      }
+      // A *blocked* reliable message is still posted; deliver() re-posts it
+      // until the link heals (TCP stalls, it does not lose).
     }
   }
-  box.cv.notify_one();
+  executor_.schedule(to, delay, [this, to, d = std::move(delivery)]() mutable {
+    deliver(to, d);
+  });
 }
 
-void InprocNetwork::deliver_corrupt(Channel channel, ProcessId from,
-                                    ProcessId to, const std::string& bytes,
-                                    InstanceId wab_instance,
-                                    const fault::CorruptSpec& spec) {
-  // Surface-then-retransmit: the receiver sees the corrupted copy AND the
-  // clean original (TCP's checksummed retransmission eventually carries the
-  // real bytes through), so corruption costs work/latency, never liveness.
-  Item item;
-  item.delivery = Delivery{channel, from,
-                           fault::bit_flip_copy(bytes, spec.byte, spec.bit),
-                           wab_instance};
-  push(to, std::move(item));
+void InprocNetwork::deliver(ProcessId to, Delivery& delivery) {
+  if (links_.link(delivery.from, to).blocked) {
+    // A reliable message that came due while its link is cut goes back to
+    // the lane (TCP stalls across the cut); it retries until the heal.
+    if (is_reliable(delivery.channel)) {
+      executor_.schedule(to, 1.0,
+                         [this, to, d = std::move(delivery)]() mutable {
+                           deliver(to, d);
+                         });
+    }
+    return;
+  }
+  if (handlers_[to]) handlers_[to](delivery);
 }
 
 void InprocNetwork::send(Channel channel, ProcessId from, ProcessId to,
@@ -173,136 +115,31 @@ void InprocNetwork::send(Channel channel, ProcessId from, ProcessId to,
   if (crashed(from) || crashed(to)) return;
   fault::CorruptSpec spec;
   if (is_reliable(channel) && links_.consume_corruption(from, to, &spec)) {
-    deliver_corrupt(channel, from, to, bytes, wab_instance, spec);
+    // Surface-then-retransmit: the receiver sees the corrupted copy AND the
+    // clean original (TCP's checksummed retransmission eventually carries
+    // the real bytes through), so corruption costs work, never liveness.
+    push(to, Delivery{channel, from,
+                      fault::bit_flip_copy(bytes, spec.byte, spec.bit),
+                      wab_instance});
   }
-  Item item;
-  item.delivery = Delivery{channel, from, std::move(bytes), wab_instance};
-  push(to, std::move(item));
+  push(to, Delivery{channel, from, std::move(bytes), wab_instance});
 }
 
 void InprocNetwork::broadcast(Channel channel, ProcessId from,
                               std::string bytes, InstanceId wab_instance) {
   ZDC_ASSERT(from < cfg_.n);
-  if (crashed(from)) return;
   // Equivocation (duplicate-divergent-send): this broadcast also carries a
   // divergent duplicate to every remote receiver, each copy flipped in a
   // different bit so no two receivers see the same corrupted frame.
-  const bool equivocating =
-      is_reliable(channel) && links_.consume_equivocation(from);
+  const bool equivocating = is_reliable(channel) && !crashed(from) &&
+                            links_.consume_equivocation(from);
   for (ProcessId to = 0; to < cfg_.n; ++to) {
-    if (crashed(to)) continue;
-    fault::CorruptSpec spec;
-    if (is_reliable(channel) && links_.consume_corruption(from, to, &spec)) {
-      deliver_corrupt(channel, from, to, bytes, wab_instance, spec);
+    if (equivocating && to != from && !crashed(to)) {
+      push(to, Delivery{channel, from,
+                        fault::bit_flip_copy(bytes, fault::kMiddleByte, to % 8u),
+                        wab_instance});
     }
-    if (equivocating && to != from) {
-      deliver_corrupt(channel, from, to, bytes, wab_instance,
-                      fault::CorruptSpec{fault::kMiddleByte, to % 8u});
-    }
-    Item item;
-    item.delivery = Delivery{channel, from, bytes, wab_instance};
-    push(to, std::move(item));
-  }
-}
-
-void InprocNetwork::schedule(ProcessId p, double delay_ms,
-                             std::function<void()> fn) {
-  ZDC_ASSERT(p < cfg_.n);
-  if (crashed(p)) return;
-  Item item;
-  item.is_timer = true;
-  item.timer_fn = std::move(fn);
-  item.due = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double, std::milli>(
-                                    delay_ms));
-  push(p, std::move(item));
-}
-
-void InprocNetwork::crash(ProcessId p) {
-  ZDC_ASSERT(p < cfg_.n);
-  crashed_[p]->store(true);
-  mailboxes_[p]->cv.notify_all();
-}
-
-bool InprocNetwork::crashed(ProcessId p) const {
-  return crashed_[p]->load();
-}
-
-void InprocNetwork::restart(ProcessId p) {
-  ZDC_ASSERT(p < cfg_.n);
-  if (!crashed(p)) return;
-  Mailbox& box = *mailboxes_[p];
-  {
-    common::MutexLock lock(box.mu);
-    // The dead incarnation's inbox (messages *and* timers) is gone — a
-    // reboot keeps nothing but stable storage. next_seq keeps counting so
-    // item ordering stays monotonic across incarnations.
-    while (!box.queue.empty()) box.queue.pop();
-    // The queue-depth gauge must follow the wipe, or metrics report the dead
-    // incarnation's backlog until the next enqueue (udp_net already does
-    // this on restart).
-    if (box.depth_gauge != nullptr) box.depth_gauge->set(0.0);
-  }
-  crashed_[p]->store(false);
-  box.cv.notify_all();
-}
-
-void InprocNetwork::worker_loop(ProcessId p) {
-  Mailbox& box = *mailboxes_[p];
-  for (;;) {
-    std::shared_ptr<Item> item;
-    {
-      common::MutexLock lock(box.mu);
-      for (;;) {
-        if (stopping_.load()) return;
-        if (links_.paused(p)) {
-          // SIGSTOP semantics: the worker is frozen — items (messages and
-          // timers alike) stay queued until resume. Short poll: the policy
-          // table has no wakeup hook.
-          box.cv.wait_for(lock.inner(), std::chrono::microseconds(500));
-          continue;
-        }
-        if (!box.queue.empty()) {
-          const auto due = box.queue.top()->due;
-          if (due <= Clock::now()) {
-            item = box.queue.top();
-            box.queue.pop();
-            box.busy = true;
-            if (box.depth_gauge != nullptr) {
-              box.depth_gauge->set(static_cast<double>(box.queue.size()));
-            }
-            break;
-          }
-          box.cv.wait_until(lock.inner(), due);
-        } else {
-          box.cv.wait(lock.inner());
-        }
-      }
-    }
-    // A reliable message that came due while its link is cut goes back into
-    // the queue (TCP stalls across the cut); it retries until the heal.
-    if (!item->is_timer &&
-        links_.link(item->delivery.from, p).blocked) {
-      common::MutexLock lock(box.mu);
-      if (is_reliable(item->delivery.channel)) {
-        item->seq = box.next_seq++;
-        item->due = Clock::now() + std::chrono::milliseconds(1);
-        box.queue.push(item);
-      }
-      box.busy = false;
-      continue;
-    }
-    if (!crashed(p)) {
-      if (item->is_timer) {
-        item->timer_fn();
-      } else if (handlers_[p]) {
-        handlers_[p](item->delivery);
-      }
-    }
-    {
-      common::MutexLock lock(box.mu);
-      box.busy = false;
-    }
+    send(channel, from, to, bytes, wab_instance);
   }
 }
 

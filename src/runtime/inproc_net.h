@@ -1,12 +1,12 @@
 // Threaded in-process message bus — the real-concurrency counterpart of the
 // discrete-event simulator (testbed substitution, DESIGN.md §2).
 //
-// Each process owns a mailbox and a dedicated worker thread; all protocol
-// handlers, failure-detector ticks and timer callbacks of a process run on
-// its worker, so protocol objects need no internal locking (the same
-// single-writer discipline a Neko-style middleware provides). Senders may run
-// on any thread: they sample an injected network delay and push into the
-// destination mailbox, which delivers in due-time order.
+// Each process owns one Executor lane: all protocol handlers,
+// failure-detector ticks and timer callbacks of a process run on its lane
+// thread, so protocol objects need no internal locking (the same
+// single-writer discipline a Neko-style middleware provides). Senders may
+// run on any thread: they sample an injected network delay and post the
+// delivery to the destination lane as a closure due at that time.
 //
 // Three traffic classes share the bus:
 //   kProtocol  — reliable, per-link FIFO-by-due-time unicast/broadcast (TCP)
@@ -16,25 +16,17 @@
 //                different firsts (collisions) exactly as on a real LAN
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "obs/metrics.h"
+#include "runtime/executor.h"
 #include "runtime/transport.h"
-
-// Locking discipline (checked by -Wthread-safety, see Mailbox in the .cpp):
-// each Mailbox owns one common::Mutex guarding its queue/rng/sequence state;
-// senders on any thread push under it, the owning worker pops under it and
-// runs handlers outside it.
 
 namespace zdc::runtime {
 
@@ -63,39 +55,38 @@ class InprocNetwork final : public Transport {
 
   // Transport:
   void set_handler(ProcessId p, Handler handler) override;
-  void start() override;
-  void shutdown() override;
+  void start() override { executor_.start(); }
+  void shutdown() override { executor_.shutdown(); }
   void send(Channel channel, ProcessId from, ProcessId to, std::string bytes,
             InstanceId wab_instance = 0) override;
   void broadcast(Channel channel, ProcessId from, std::string bytes,
                  InstanceId wab_instance = 0) override;
-  void schedule(ProcessId p, double delay_ms, std::function<void()> fn) override;
-  void crash(ProcessId p) override;
-  [[nodiscard]] bool crashed(ProcessId p) const override;
-  void restart(ProcessId p) override;
+  void schedule(ProcessId p, double delay_ms,
+                std::function<void()> fn) override {
+    executor_.schedule(p, delay_ms, std::move(fn));
+  }
+  void crash(ProcessId p) override { executor_.crash(p); }
+  [[nodiscard]] bool crashed(ProcessId p) const override {
+    return executor_.crashed(p);
+  }
+  void restart(ProcessId p) override { executor_.restart(p); }
   [[nodiscard]] fault::LinkPolicy& links() override { return links_; }
   [[nodiscard]] std::uint32_t size() const override { return cfg_.n; }
 
  private:
-  struct Item;
-  struct Mailbox;
+  struct Inbox;
 
-  void worker_loop(ProcessId p);
-  void push(ProcessId to, Item item);
-  /// Pushes a byte-flipped copy of `bytes` to `to` (the clean original still
-  /// follows — corruption is surfaced, then "retransmitted").
-  void deliver_corrupt(Channel channel, ProcessId from, ProcessId to,
-                       const std::string& bytes, InstanceId wab_instance,
-                       const fault::CorruptSpec& spec);
+  /// Samples the injected delay and link faults of one delivery to `to`
+  /// and posts it to to's lane (or drops it, for lost best-effort traffic).
+  void push(ProcessId to, Delivery delivery);
+  /// Runs on to's lane once the delivery is due.
+  void deliver(ProcessId to, Delivery& delivery);
 
   Config cfg_;
   fault::LinkPolicy links_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<Handler> handlers_;
-  std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> crashed_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
+  Executor executor_;  // last: hooks into links_; its lanes use all above
 };
 
 }  // namespace zdc::runtime

@@ -8,6 +8,7 @@
 #include "abcast/paxos_abcast.h"
 #include "common/assert.h"
 #include "common/codec.h"
+#include "runtime/executor.h"
 #include "sim/trace.h"
 
 namespace zdc::runtime {
@@ -220,11 +221,8 @@ void RuntimeCluster::shutdown() {
 
 bool RuntimeCluster::wait_until(const std::function<bool()>& done,
                                 double timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(timeout_ms));
-  while (std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = Executor::after_ms(timeout_ms);
+  while (Executor::Clock::now() < deadline) {
     if (done()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -1,18 +1,22 @@
 // Abstract transport of the threaded runtime.
 //
-// Two implementations ship:
-//   * InprocNetwork — mailbox threads with injected delays (fast, hermetic);
+// Two implementations ship, each keeping only its wire code on top of one
+// runtime::Executor (executor.h):
+//   * InprocNetwork — in-process delivery with injected delays (hermetic);
 //   * UdpNetwork    — real loopback UDP sockets with a go-back-style ARQ for
 //                     the reliable channel (the paper's TCP) and raw
 //                     datagrams for heartbeats and the ordering oracle.
 //
-// Contract (both implementations):
-//   * handlers and scheduled callbacks of process p run on p's dedicated
-//     thread — protocol objects need no locking;
+// Contract (both implementations; tests/transport_contract_test.cpp):
+//   * each process has one executor lane: its handlers and scheduled
+//     callbacks all run on that lane's thread, in due order — protocol
+//     objects need no locking;
+//   * nothing polls: schedule() from any thread wakes the lane at once, and
+//     a paused process blocks until LinkPolicy::resume() wakes it;
 //   * kProtocol and kCatchup are reliable between correct processes (no
 //     loss, no duplication); kHeartbeat and kWab are best-effort;
 //   * broadcast() delivers to every process including the sender;
-//   * after crash(p), p neither sends nor receives.
+//   * after crash(p), p neither sends nor receives nor runs timers.
 #pragma once
 
 #include <cstddef>
@@ -93,7 +97,8 @@ class Transport {
   ///   * drop_prob loses best-effort datagrams outright and costs reliable
   ///     traffic retransmission delay;
   ///   * paused processes stop executing handlers and timers (SIGSTOP
-  ///     semantics: a slow process, not a dead one) until resumed.
+  ///     semantics: a slow process, not a dead one) until resumed; their
+  ///     inbound traffic queues on their lane meanwhile.
   /// Mutate through this reference at any time; thread-safe.
   [[nodiscard]] virtual fault::LinkPolicy& links() = 0;
 

@@ -2,27 +2,25 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <queue>
-#include <thread>
+#include <map>
+#include <set>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/codec.h"
 #include "fault/corrupt.h"
-#include "common/log.h"
 #include "common/mutex.h"
+#include "common/rng.h"
 
 namespace zdc::runtime {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using Clock = Executor::Clock;
 
 constexpr std::uint8_t kTypeData = 0;
 constexpr std::uint8_t kTypeAck = 1;
@@ -30,23 +28,26 @@ constexpr std::uint8_t kTypeAck = 1;
 constexpr std::size_t kHeaderBytes = 22;
 constexpr std::size_t kMaxDatagram = kMaxMessageBytes + kHeaderBytes;
 
-Clock::time_point after_ms(double ms) {
-  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(ms));
-}
-
 }  // namespace
 
-/// Everything one process owns: socket, timers, ARQ state.
+/// Everything one process owns besides its lane: socket and ARQ state.
 struct UdpNetwork::Endpoint {
   int fd = -1;           // immutable after the constructor
   std::uint16_t port = 0;  // immutable after the constructor
-  /// Written before start(), read only by the recv thread afterwards
-  /// (enforced by the assertion in set_handler — no lock needed).
+  /// Written before start(), read only by the lane afterwards (enforced by
+  /// the assertion in set_handler — no lock needed).
   Handler handler;
-  std::atomic<bool> crashed{false};
+  /// Lane-only inbound dedupe per sender: everything <= watermark seen,
+  /// plus stragglers.
+  struct SeenFrom {
+    std::uint64_t watermark = 0;
+    std::set<std::uint64_t> above;
+  };
+  std::map<ProcessId, SeenFrom> seen;
 
-  common::Mutex mu;  // guards everything below (senders push from other threads)
+  // Guards everything below (checked by -Wthread-safety): senders on any
+  // thread and the lane take it briefly and never call out while holding it.
+  common::Mutex mu;
 
   // Outbound reliable state: seq -> (destination, encoded datagram, due).
   struct Pending {
@@ -58,35 +59,24 @@ struct UdpNetwork::Endpoint {
   std::map<std::uint64_t, Pending> unacked ZDC_GUARDED_BY(mu);
   std::uint64_t next_seq ZDC_GUARDED_BY(mu) = 1;
 
-  // Inbound dedupe per sender: everything <= watermark seen, plus stragglers.
-  struct SeenFrom {
-    std::uint64_t watermark = 0;
-    std::set<std::uint64_t> above;
-  };
-  std::map<ProcessId, SeenFrom> seen ZDC_GUARDED_BY(mu);
 
-  // Timers.
-  struct Timer {
-    Clock::time_point due;
-    std::uint64_t ticket;
-    std::function<void()> fn;
-    bool operator>(const Timer& other) const {
-      return due != other.due ? due > other.due : ticket > other.ticket;
-    }
-  };
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers
-      ZDC_GUARDED_BY(mu);
-  std::uint64_t next_ticket ZDC_GUARDED_BY(mu) = 0;
+  /// Incarnation of the ARQ timer chain; restart() bumps it so a tick of
+  /// the dead incarnation that was mid-run cannot re-arm a second chain.
+  std::uint64_t arq_epoch ZDC_GUARDED_BY(mu) = 0;
 
   common::Rng rng ZDC_GUARDED_BY(mu){0};
 
   // Pre-registered metric handles, labeled by this endpoint's process; null
-  // when metrics are off. Counters/gauges are atomics — safe from the recv
-  // thread and from senders alike.
+  // when metrics are off. Counters/gauges are atomics — safe from the
+  // receive thread, the lane and senders alike.
   obs::Counter* sent_ctr = nullptr;
   obs::Counter* retrans_ctr = nullptr;
   obs::Counter* dropped_ctr = nullptr;
   obs::Gauge* unacked_gauge = nullptr;
+
+  void note_drop() const {
+    if (dropped_ctr != nullptr) dropped_ctr->inc();
+  }
 
   void note_unacked_depth() ZDC_REQUIRES(mu) {
     if (unacked_gauge != nullptr) {
@@ -99,7 +89,8 @@ struct UdpNetwork::Endpoint {
   }
 };
 
-UdpNetwork::UdpNetwork(Config cfg) : cfg_(cfg), links_(cfg.n) {
+UdpNetwork::UdpNetwork(Config cfg)
+    : cfg_(cfg), links_(cfg.n), executor_(cfg.n, links_) {
   ZDC_ASSERT(cfg.n > 0);
   common::Rng seeder(cfg.seed);
   endpoints_.reserve(cfg.n);
@@ -147,26 +138,28 @@ std::uint16_t UdpNetwork::port(ProcessId p) const {
 
 void UdpNetwork::set_handler(ProcessId p, Handler handler) {
   ZDC_ASSERT(p < cfg_.n);
-  ZDC_ASSERT_MSG(!running_.load(), "handlers must be set before start()");
+  ZDC_ASSERT_MSG(!executor_.running(), "handlers must be set before start()");
   endpoints_[p]->handler = std::move(handler);
 }
 
 void UdpNetwork::start() {
-  ZDC_ASSERT(!running_.exchange(true));
-  threads_.reserve(cfg_.n);
+  executor_.start();
   for (std::uint32_t p = 0; p < cfg_.n; ++p) {
-    threads_.emplace_back([this, p] { recv_loop(p); });
+    readers_.emplace_back([this, p] { read_socket(p); });
+    executor_.schedule(p, 0.0, [this, p] { arq_tick(p, 0); });
   }
 }
 
 void UdpNetwork::shutdown() {
-  if (!running_.load()) return;
+  if (!executor_.running()) return;
   stopping_.store(true);
-  for (auto& thread : threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  threads_.clear();
-  running_.store(false);
+  // SHUT_RD wakes a receive thread blocked in recvfrom() (Linux does this
+  // even for unconnected datagram sockets) and makes every later call
+  // return at once.
+  for (auto& ep : endpoints_) ::shutdown(ep->fd, SHUT_RD);
+  for (auto& reader : readers_) reader.join();
+  readers_.clear();
+  executor_.shutdown();
 }
 
 void UdpNetwork::raw_send(ProcessId from, ProcessId to,
@@ -176,26 +169,19 @@ void UdpNetwork::raw_send(ProcessId from, ProcessId to,
   const fault::LinkState link = links_.link(from, to);
   if (!link.clean()) {
     Endpoint& sender = *endpoints_[from];
-    if (link.blocked) {
-      // Cut link: raw datagrams die (ARQ retries).
-      if (sender.dropped_ctr != nullptr) sender.dropped_ctr->inc();
+    bool drop = link.blocked;  // cut link: raw datagrams die (ARQ retries)
+    if (!drop && link.drop_prob > 0.0) {
+      common::MutexLock lock(sender.mu);
+      drop = sender.rng.chance(link.drop_prob);
+    }
+    if (drop) {
+      sender.note_drop();
       return;
     }
-    if (link.drop_prob > 0.0) {
-      bool drop = false;
-      {
-        common::MutexLock lock(sender.mu);
-        drop = sender.rng.chance(link.drop_prob);
-      }
-      if (drop) {
-        if (sender.dropped_ctr != nullptr) sender.dropped_ctr->inc();
-        return;
-      }
-    }
-    if (link.extra_delay_ms > 0.0 && !crashed(from)) {
-      // Delay spike: hold the datagram on the sender's timer wheel. Bypasses
-      // the policy re-check on fire — the spike was already paid.
-      schedule(from, link.extra_delay_ms, [this, from, to, datagram] {
+    if (link.extra_delay_ms > 0.0) {
+      // Delay spike: hold the datagram on the sender's lane. Bypasses the
+      // policy re-check on fire — the spike was already paid.
+      executor_.schedule(from, link.extra_delay_ms, [this, from, to, datagram] {
         raw_send_now(from, to, datagram);
       });
       return;
@@ -223,37 +209,37 @@ void UdpNetwork::send(Channel channel, ProcessId from, ProcessId to,
   ZDC_ASSERT(from < cfg_.n && to < cfg_.n);
   if (crashed(from) || crashed(to)) return;
 
-  common::Encoder enc;
-  enc.put_u8(kTypeData);
-  enc.put_u8(static_cast<std::uint8_t>(channel));
-  enc.put_u32(from);
+  const auto encode = [&](std::uint64_t seq) {
+    common::Encoder enc;
+    enc.put_u8(kTypeData);
+    enc.put_u8(static_cast<std::uint8_t>(channel));
+    enc.put_u32(from);
+    enc.put_u64(seq);
+    enc.put_u64(wab_instance);
+    enc.put_raw(bytes);
+    return enc.take();
+  };
+  if (!is_reliable(channel)) {
+    raw_send(from, to, encode(0));
+    return;
+  }
   std::string datagram;
-  if (is_reliable(channel)) {
+  {
     // Sequence allocation and ARQ registration form ONE critical section:
     // when they were separate, a concurrent restart(from) could clear the
     // table between them and then inherit the dead incarnation's pending
     // entry, retransmitting a pre-crash datagram from the new incarnation.
+    // The sequence space is shared across destinations at the sender
+    // (simpler and correct: the receiver dedupes per sender).
     Endpoint& ep = *endpoints_[from];
     common::MutexLock lock(ep.mu);
-    // Sequence space is shared across destinations at the sender (simpler
-    // and correct: the receiver dedupes per sender).
     const std::uint64_t seq = ep.next_seq++;
-    enc.put_u64(seq);
-    enc.put_u64(wab_instance);
-    enc.put_raw(bytes);
-    datagram = enc.take();
-    Endpoint::Pending pending;
-    pending.to = to;
-    pending.datagram = datagram;
-    pending.next_retransmit = after_ms(cfg_.retransmit_interval_ms);
-    pending.backoff_ms = cfg_.retransmit_interval_ms;
-    ep.unacked.emplace(seq, std::move(pending));
+    datagram = encode(seq);
+    ep.unacked.emplace(
+        seq, Endpoint::Pending{to, datagram,
+                               Executor::after_ms(cfg_.retransmit_interval_ms),
+                               cfg_.retransmit_interval_ms});
     ep.note_unacked_depth();
-  } else {
-    enc.put_u64(0);
-    enc.put_u64(wab_instance);
-    enc.put_raw(bytes);
-    datagram = enc.take();
   }
   raw_send(from, to, datagram);
 }
@@ -277,22 +263,9 @@ void UdpNetwork::broadcast(Channel channel, ProcessId from, std::string bytes,
   }
 }
 
-void UdpNetwork::schedule(ProcessId p, double delay_ms,
-                          std::function<void()> fn) {
-  ZDC_ASSERT(p < cfg_.n);
-  if (crashed(p)) return;
-  Endpoint& ep = *endpoints_[p];
-  common::MutexLock lock(ep.mu);
-  Endpoint::Timer timer;
-  timer.due = after_ms(delay_ms);
-  timer.ticket = ep.next_ticket++;
-  timer.fn = std::move(fn);
-  ep.timers.push(std::move(timer));
-}
-
 void UdpNetwork::crash(ProcessId p) {
   ZDC_ASSERT(p < cfg_.n);
-  endpoints_[p]->crashed.store(true);
+  executor_.crash(p);
   // Peers stop retransmitting towards p.
   for (std::uint32_t q = 0; q < cfg_.n; ++q) {
     Endpoint& ep = *endpoints_[q];
@@ -304,34 +277,31 @@ void UdpNetwork::crash(ProcessId p) {
   }
 }
 
-bool UdpNetwork::crashed(ProcessId p) const {
-  return endpoints_[p]->crashed.load();
-}
-
 void UdpNetwork::restart(ProcessId p) {
   ZDC_ASSERT(p < cfg_.n);
+  if (!crashed(p)) return;
   Endpoint& ep = *endpoints_[p];
-  if (!ep.crashed.load()) return;
+  std::uint64_t epoch = 0;
   {
     common::MutexLock lock(ep.mu);
-    // The dead incarnation's volatile transport state is gone: its pending
-    // retransmissions and timers died with it. next_seq and the per-sender
-    // dedupe maps are kept monotonic across incarnations, so peers' ack
-    // watermarks stay valid and pre-crash stragglers are still rejected.
+    // The dead incarnation's pending retransmissions died with it. next_seq
+    // and the per-sender dedupe maps are kept monotonic across
+    // incarnations, so peers' ack watermarks stay valid and pre-crash
+    // stragglers are still rejected.
     ep.unacked.clear();
     ep.note_unacked_depth();
-    while (!ep.timers.empty()) ep.timers.pop();
+    epoch = ++ep.arq_epoch;
   }
-  // The recv thread has been draining and discarding the socket while
-  // crashed, so no pre-crash datagrams are waiting. Flip last: from here on
-  // the endpoint receives again.
-  ep.crashed.store(false);
+  // The receive thread dropped every datagram posted while p was crashed;
+  // the lane restart wipes its timers and un-crashes it in one step. The
+  // new epoch leaves exactly one ARQ chain running.
+  executor_.restart(p);
+  executor_.schedule(p, 0.0, [this, p, epoch] { arq_tick(p, epoch); });
 }
 
-void UdpNetwork::handle_datagram(ProcessId p, const char* data,
-                                 std::size_t len) {
+void UdpNetwork::handle_datagram(ProcessId p, const std::string& datagram) {
   Endpoint& ep = *endpoints_[p];
-  common::Decoder dec(std::string_view(data, len));
+  common::Decoder dec(datagram);
   const std::uint8_t type = dec.get_u8();
   if (!dec.ok()) return;
 
@@ -353,79 +323,45 @@ void UdpNetwork::handle_datagram(ProcessId p, const char* data,
   std::string payload = dec.get_rest();
   if (from >= cfg_.n) return;
 
-  if (is_reliable(channel)) {
-    fault::CorruptSpec spec;
-    if (links_.consume_corruption(from, p, &spec)) {
-      // Byte-flip on the wire (flip/scorrupt budget): the receiver sees the
-      // corrupted payload now, but neither acks nor dedupe-records the
-      // sequence number — so the sender's ARQ retransmits and the clean
-      // original still arrives. Detectable corruption costs one
-      // retransmission interval, never the message.
-      fault::bit_flip(payload, fault::resolve_flip_byte(spec.byte,
-                                                        payload.size()),
-                      spec.bit);
-      if (ep.handler) {
-        Delivery d;
-        d.channel = channel;
-        d.from = from;
-        d.bytes = std::move(payload);
-        d.wab_instance = wab_instance;
-        ep.handler(d);
-      }
-      return;
-    }
+  // Byte-flip on the wire (flip/scorrupt budget): the receiver sees the
+  // corrupted payload now, but neither acks nor dedupe-records the sequence
+  // number — so the sender's ARQ retransmits and the clean original still
+  // arrives. Detectable corruption costs one retransmission interval, never
+  // the message.
+  fault::CorruptSpec spec;
+  if (is_reliable(channel) && links_.consume_corruption(from, p, &spec)) {
+    fault::bit_flip(payload,
+                    fault::resolve_flip_byte(spec.byte, payload.size()),
+                    spec.bit);
+  } else if (is_reliable(channel)) {
     // Ack unconditionally (duplicates included: the ack may have been lost).
     common::Encoder ack;
     ack.put_u8(kTypeAck);
     ack.put_u32(p);
     ack.put_u64(seq);
     raw_send(p, from, ack.take());
-
-    // Dedupe per sender. Scoped: the handler below may send to self, which
-    // re-locks this same mutex.
-    {
-      common::MutexLock lock(ep.mu);
-      auto& seen = ep.seen[from];
-      if (seq <= seen.watermark || seen.above.count(seq) != 0) return;
-      seen.above.insert(seq);
-      while (seen.above.count(seen.watermark + 1) != 0) {
-        seen.above.erase(seen.watermark + 1);
-        ++seen.watermark;
-      }
+    auto& seen = ep.seen[from];  // dedupe per sender
+    if (seq <= seen.watermark || seen.above.count(seq) != 0) return;
+    seen.above.insert(seq);
+    while (seen.above.count(seen.watermark + 1) != 0) {
+      seen.above.erase(seen.watermark + 1);
+      ++seen.watermark;
     }
   }
-
-  if (ep.handler) {
-    Delivery d;
-    d.channel = channel;
-    d.from = from;
-    d.bytes = std::move(payload);
-    d.wab_instance = wab_instance;
-    ep.handler(d);
-  }
+  if (ep.handler) ep.handler(Delivery{channel, from, std::move(payload),
+                                      wab_instance});
 }
 
-void UdpNetwork::run_due_work(ProcessId p) {
+void UdpNetwork::arq_tick(ProcessId p, std::uint64_t epoch) {
   Endpoint& ep = *endpoints_[p];
   const Clock::time_point now = Clock::now();
-
-  // Timers (run outside the lock; they may send).
-  std::vector<std::function<void()>> due;
-  {
-    common::MutexLock lock(ep.mu);
-    while (!ep.timers.empty() && ep.timers.top().due <= now) {
-      due.push_back(ep.timers.top().fn);
-      ep.timers.pop();
-    }
-  }
-  for (auto& fn : due) fn();
-
-  // ARQ retransmissions, with exponential backoff: a datagram that keeps
-  // going unacked (receiver slow, link cut) retries at doubling intervals up
-  // to the cap instead of hammering at the base rate forever.
+  // Retransmissions with exponential backoff: a datagram that keeps going
+  // unacked (receiver slow, link cut) retries at doubling intervals up to
+  // the cap instead of hammering at the base rate forever.
   std::vector<std::pair<ProcessId, std::string>> resend;
   {
     common::MutexLock lock(ep.mu);
+    if (epoch != ep.arq_epoch) return;  // a dead incarnation's chain
     for (auto it = ep.unacked.begin(); it != ep.unacked.end();) {
       auto& pending = it->second;
       // Entries towards a crashed destination are purged here, not just
@@ -440,55 +376,43 @@ void UdpNetwork::run_due_work(ProcessId p) {
         resend.emplace_back(pending.to, pending.datagram);
         pending.backoff_ms =
             std::min(pending.backoff_ms * 2.0, cfg_.retransmit_cap_ms);
-        pending.next_retransmit = after_ms(pending.backoff_ms);
+        pending.next_retransmit = Executor::after_ms(pending.backoff_ms);
       }
       ++it;
     }
     ep.note_unacked_depth();
   }
   for (const auto& [to, datagram] : resend) {
-    if (!crashed(to)) {
-      retransmissions_.fetch_add(1, std::memory_order_relaxed);
-      if (ep.retrans_ctr != nullptr) ep.retrans_ctr->inc();
-      raw_send(p, to, datagram);
-    }
+    retransmissions_.fetch_add(1, std::memory_order_relaxed);
+    if (ep.retrans_ctr != nullptr) ep.retrans_ctr->inc();
+    raw_send(p, to, datagram);
   }
+  executor_.schedule(p, std::max(1.0, cfg_.retransmit_interval_ms / 2),
+                     [this, p, epoch] { arq_tick(p, epoch); });
 }
 
-void UdpNetwork::recv_loop(ProcessId p) {
+void UdpNetwork::read_socket(ProcessId p) {
   Endpoint& ep = *endpoints_[p];
-  std::vector<char> buffer(kMaxDatagram + 1);
-  while (!stopping_.load()) {
-    if (links_.paused(p)) {
-      // SIGSTOP semantics: no receiving, no timers, no ARQ retransmissions.
-      // The kernel keeps buffering inbound datagrams (delivered stale after
-      // resume, exactly like a real stopped process).
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-      continue;
-    }
-    pollfd pfd{};
-    pfd.fd = ep.fd;
-    pfd.events = POLLIN;
-    const int poll_ms =
-        std::max(1, static_cast<int>(cfg_.retransmit_interval_ms / 2));
-    const int ready = ::poll(&pfd, 1, poll_ms);
-    if (ready > 0 && (pfd.revents & POLLIN) != 0) {
-      const ssize_t got =
-          ::recvfrom(ep.fd, buffer.data(), buffer.size(), 0, nullptr, nullptr);
-      if (got > 0 && !ep.crashed.load()) {
-        bool drop = false;
-        if (cfg_.drop_prob > 0.0) {
-          common::MutexLock lock(ep.mu);
-          drop = ep.rng.chance(cfg_.drop_prob);
-        }
-        if (!drop) {
-          handle_datagram(p, buffer.data(), static_cast<std::size_t>(got));
-        } else if (ep.dropped_ctr != nullptr) {
-          ep.dropped_ctr->inc();
-        }
+  std::string buffer(kMaxDatagram + 1, '\0');
+  for (;;) {
+    const ssize_t got =
+        ::recvfrom(ep.fd, buffer.data(), buffer.size(), 0, nullptr, nullptr);
+    if (stopping_.load()) return;
+    if (got <= 0) continue;
+    if (cfg_.drop_prob > 0.0) {
+      common::MutexLock lock(ep.mu);
+      if (ep.rng.chance(cfg_.drop_prob)) {
+        ep.note_drop();
+        continue;
       }
     }
-    if (!ep.crashed.load()) run_due_work(p);
+    // Handled on the lane: a paused process neither delivers nor acks, and
+    // a crashed one drops the datagram (post() refuses it).
+    executor_.schedule(
+        p, 0.0,
+        [this, p, datagram = buffer.substr(0, static_cast<std::size_t>(got))] {
+          handle_datagram(p, datagram);
+        });
   }
 }
 

@@ -6,8 +6,11 @@
 // oracle.
 //
 // Design:
-//   * one socket + one thread per process; handlers, timers and ARQ
-//     retransmissions all run on that thread (single-writer protocols);
+//   * one socket + one Executor lane per process; handlers, timers, datagram
+//     handling (acks included) and ARQ scans all run on the lane thread
+//     (single-writer protocols). A small receive thread per process only
+//     reads the socket and posts each datagram to its lane, so a paused
+//     process sends no acks and its backlog waits in the lane;
 //   * wire format: [type u8] then
 //       data: [channel u8][from u32][seq u64][wab u64][payload...]
 //       ack:  [from u32][seq u64]
@@ -16,28 +19,21 @@
 //     with a watermark + out-of-order set, delivering in arrival order
 //     (reliable ≠ FIFO — matching the system model's channels);
 //   * an optional artificial drop probability exercises the ARQ in tests;
-//   * crash(p) closes the loop: p stops sending/receiving and peers purge
+//   * crash(p) closes the lane: p stops sending/receiving and peers purge
 //     their retransmission state towards p.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "obs/metrics.h"
+#include "runtime/executor.h"
 #include "runtime/transport.h"
-
-// Locking discipline (checked by -Wthread-safety, see Endpoint in the .cpp):
-// each Endpoint owns one common::Mutex guarding its ARQ/dedupe/timer state;
-// senders on any thread and the endpoint's recv thread take it briefly and
-// never call out while holding it.
 
 namespace zdc::runtime {
 
@@ -72,9 +68,14 @@ class UdpNetwork final : public Transport {
             InstanceId wab_instance = 0) override;
   void broadcast(Channel channel, ProcessId from, std::string bytes,
                  InstanceId wab_instance = 0) override;
-  void schedule(ProcessId p, double delay_ms, std::function<void()> fn) override;
+  void schedule(ProcessId p, double delay_ms,
+                std::function<void()> fn) override {
+    executor_.schedule(p, delay_ms, std::move(fn));
+  }
   void crash(ProcessId p) override;
-  [[nodiscard]] bool crashed(ProcessId p) const override;
+  [[nodiscard]] bool crashed(ProcessId p) const override {
+    return executor_.crashed(p);
+  }
   void restart(ProcessId p) override;
   [[nodiscard]] fault::LinkPolicy& links() override { return links_; }
   [[nodiscard]] std::uint32_t size() const override { return cfg_.n; }
@@ -89,19 +90,22 @@ class UdpNetwork final : public Transport {
  private:
   struct Endpoint;
 
-  void recv_loop(ProcessId p);
+  /// Receive thread: reads p's socket and posts each datagram to p's lane.
+  void read_socket(ProcessId p);
   void raw_send(ProcessId from, ProcessId to, const std::string& datagram);
   void raw_send_now(ProcessId from, ProcessId to, const std::string& datagram);
-  void handle_datagram(ProcessId p, const char* data, std::size_t len);
-  void run_due_work(ProcessId p);
+  void handle_datagram(ProcessId p, const std::string& datagram);
+  /// Lane timer: retransmits p's due unacked datagrams, then re-arms itself
+  /// every retransmit_interval_ms / 2 while the incarnation `epoch` lives.
+  void arq_tick(ProcessId p, std::uint64_t epoch);
 
   Config cfg_;
   fault::LinkPolicy links_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::vector<std::thread> threads_;
-  std::atomic<bool> running_{false};
+  std::vector<std::thread> readers_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> retransmissions_{0};
+  Executor executor_;  // last: hooks into links_; its lanes use all above
 };
 
 }  // namespace zdc::runtime

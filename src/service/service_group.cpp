@@ -176,12 +176,16 @@ bool ServiceGroup::holds_lease(ProcessId p) const {
 void ServiceGroup::gate_poll(ProcessId p) {
   // Worker thread p. Reign bookkeeping: on every leadership acquisition,
   // open a new reign and a-broadcast its barrier; lease reads start only
-  // once that barrier has applied locally (see the header argument).
+  // once that barrier has applied locally (see the header argument). A
+  // leader whose own barrier was overtaken by a peer's (it was paused while
+  // the peer reigned, and never saw itself lose Ω) opens a new reign too,
+  // or no replica would hold the lease again.
   Gate& g = *gates_[p];
   auto& node = group_->cluster().node(p);
   const bool leader_now = node.failure_detector().omega().leader() == p &&
                           !group_->recovering(p);
-  if (leader_now && !g.was_leader) {
+  const bool overtaken = g.barrier_applied && g.last_barrier_owner != p;
+  if (leader_now && (!g.was_leader || overtaken)) {
     ++g.reign;
     g.barrier_target = g.reign;
     g.barrier_applied = false;

@@ -36,6 +36,14 @@
 // reign's barrier (an old leader that applies the new barrier goes silent
 // at that exact point in the order). Once the new leader's barrier applies
 // locally, its state therefore covers everything previously acknowledged.
+// A second trigger opens a reign without a visible leadership change: a
+// leader whose own barrier applied and was then overtaken by a peer's (it
+// was paused while the peer took Ω and reigned, and on resume Ω came back
+// before its gate poll ever saw itself lose it). It is safe for the same
+// reason — a barrier only ever narrows the gate: the new one is ordered
+// after the peer's, hence after everything the peer acknowledged, and the
+// replica neither acks nor serves until it applies. Without the trigger no
+// replica would hold the lease again.
 // The fast-read gate adds the TIME-based half: serving requires a majority
 // endorsement both fresh (age < lease_ms) and held continuously for at
 // least lease_ms (HeartbeatFd::quorum_endorsement_streak_ms) — a new

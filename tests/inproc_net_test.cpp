@@ -1,11 +1,11 @@
-// Unit tests for the threaded in-process network: delivery, timers, crash
-// semantics and the oracle channel's loss knob.
+// Unit tests for the threaded in-process network: delivery, per-process
+// serial handlers and the oracle channel's loss knob. Timers, pause, restart
+// and crash semantics are checked for both transports in
+// transport_contract_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -64,52 +64,6 @@ TEST(InprocNet, WabChannelCarriesInstanceId) {
   net.start();
   net.broadcast(Channel::kWab, 0, "oracle", 777);
   ASSERT_TRUE(RuntimeCluster::wait_until([&] { return seen == 777; }, 5000.0));
-  net.shutdown();
-}
-
-TEST(InprocNet, TimersFireOnOwnerThreadInDueOrder) {
-  InprocNetwork net(fast_net(2));
-  std::mutex mu;
-  std::vector<int> order;
-  net.set_handler(0, [](const Delivery&) {});
-  net.set_handler(1, [](const Delivery&) {});
-  net.start();
-  net.schedule(0, 20.0, [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(2);
-  });
-  net.schedule(0, 1.0, [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(1);
-  });
-  ASSERT_TRUE(RuntimeCluster::wait_until(
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        return order.size() == 2;
-      },
-      5000.0));
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  net.shutdown();
-}
-
-TEST(InprocNet, CrashedProcessNeitherSendsNorReceives) {
-  InprocNetwork net(fast_net(3));
-  std::vector<std::atomic<int>> got(3);
-  for (ProcessId p = 0; p < 3; ++p) {
-    net.set_handler(p, [&got, p](const Delivery&) { ++got[p]; });
-  }
-  net.start();
-  net.crash(1);
-  EXPECT_TRUE(net.crashed(1));
-  net.broadcast(Channel::kProtocol, 0, "x");   // 1 must not receive
-  net.broadcast(Channel::kProtocol, 1, "y");   // 1 must not send
-  ASSERT_TRUE(RuntimeCluster::wait_until(
-      [&] { return got[0] == 1 && got[2] == 1; }, 5000.0));
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(got[0], 1);  // only "x"
-  EXPECT_EQ(got[1], 0);
-  EXPECT_EQ(got[2], 1);
   net.shutdown();
 }
 

@@ -1,8 +1,9 @@
 // End-to-end tests for rsm::ServiceGroup / rsm::Client on the threaded
 // runtime: the stable client API (execute / read / close_session), dedup
 // across duplicate submissions and across a kill-9 restart (WAL-backed),
-// the read-index fast path actually serving without consensus, and the
-// downgrade path keeping reads correct through a leader crash.
+// the read-index fast path actually serving without consensus, the
+// downgrade path keeping reads correct through a leader crash, and a paused
+// lease holder reopening its reign once it resumes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "common/stable_storage.h"
 #include "core/kv_store.h"
 #include "core/rsm.h"
+#include "fault/link_policy.h"
 #include "obs/run_options.h"
 #include "runtime/runtime_node.h"
 #include "service/service_group.h"
@@ -193,6 +195,39 @@ TEST(ServiceRuntime, ReadIndexServesFromLeaseHolder) {
   }
   EXPECT_TRUE(saw_fast) << "the lease gate never opened";
   c.close_session();
+  svc.shutdown();
+}
+
+// Regression: a lease holder paused long enough for a peer to take Ω and
+// order its own reign barrier gets Ω back on resume without ever seeing
+// itself lose it. Unless it orders a new barrier, no replica holds the
+// lease again — and with read-index on only the lease holder answers, so
+// every later request would end in error:timeout.
+TEST(ServiceRuntime, PausedLeaseHolderReopensItsReign) {
+  const auto opts = zdc::RunOptions{}
+                        .with_group(4, 1)
+                        .with_seed(7)
+                        .with_sessions()
+                        .with_read_index();
+  ServiceGroup::Config cfg;
+  cfg.client_retry_ms = 300.0;
+  ServiceGroup svc(
+      opts, [] { return std::make_unique<core::KvStateMachine>(); }, cfg);
+  svc.start();
+
+  Client c = svc.client();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(c.execute(core::kv_put("k", "v" + std::to_string(i))), "ok");
+  }
+  fault::LinkPolicy& links = svc.replicas().cluster().network().links();
+  links.pause(0);
+  static_cast<void>(wait_ms(300.0));
+  links.resume(0);
+  static_cast<void>(wait_ms(1000.0));
+
+  EXPECT_EQ(c.execute(core::kv_put("k", "after")), "ok");
+  EXPECT_EQ(c.read(core::kv_get("k")), "value:after");
+  EXPECT_EQ(c.execute(core::kv_get("k")), "value:after");
   svc.shutdown();
 }
 
