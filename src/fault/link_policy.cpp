@@ -26,9 +26,12 @@ LinkState LinkPolicy::link(ProcessId from, ProcessId to) const {
 
 void LinkPolicy::set_link(ProcessId from, ProcessId to, LinkState state) {
   ZDC_ASSERT(from < n_ && to < n_);
-  common::MutexLock lock(mu_);
-  links_[static_cast<std::size_t>(from) * n_ + to] = state;
-  touch();
+  {
+    common::MutexLock lock(mu_);
+    links_[static_cast<std::size_t>(from) * n_ + to] = state;
+    touch();
+  }
+  run_heal_hook();
 }
 
 void LinkPolicy::partition(const std::vector<ProcessId>& side_a) {
@@ -60,9 +63,22 @@ void LinkPolicy::isolate(ProcessId p) {
 }
 
 void LinkPolicy::heal() {
-  common::MutexLock lock(mu_);
-  std::fill(links_.begin(), links_.end(), LinkState{});
-  touch();
+  {
+    common::MutexLock lock(mu_);
+    std::fill(links_.begin(), links_.end(), LinkState{});
+    touch();
+  }
+  run_heal_hook();
+}
+
+void LinkPolicy::run_heal_hook() {
+  std::function<void()> hook;
+  {
+    common::MutexLock lock(mu_);
+    hook = heal_hook_;
+  }
+  // Outside mu_: the hook re-reads link() for every parked message.
+  if (hook) hook();
 }
 
 void LinkPolicy::pause(ProcessId p) {
@@ -88,6 +104,11 @@ void LinkPolicy::resume(ProcessId p) {
 void LinkPolicy::set_resume_hook(std::function<void(ProcessId)> hook) {
   common::MutexLock lock(mu_);
   resume_hook_ = std::move(hook);
+}
+
+void LinkPolicy::set_heal_hook(std::function<void()> hook) {
+  common::MutexLock lock(mu_);
+  heal_hook_ = std::move(hook);
 }
 
 bool LinkPolicy::paused(ProcessId p) const {

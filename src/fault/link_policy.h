@@ -7,9 +7,9 @@
 //
 //   * blocked      — the link is cut (a partition edge). Reliable-channel
 //                    traffic must *wait out* the cut, not vanish: the
-//                    simulator parks the message and re-injects it on heal,
-//                    the UDP fabric simply keeps the ARQ retransmitting, and
-//                    the mailbox fabric re-queues until the link opens.
+//                    simulator and the mailbox fabric park the message and
+//                    re-inject it on heal, and the UDP fabric simply keeps
+//                    the ARQ retransmitting.
 //                    Best-effort traffic (heartbeats, WAB datagrams) is lost.
 //   * drop_prob    — per-message datagram loss. On the UDP fabric this drops
 //                    raw datagrams (the ARQ recovers); fabrics without a
@@ -24,7 +24,9 @@
 // implementation falsely suspects it. Pause is not crash: no state is lost.
 // The threaded runtime's executor blocks a paused process outright and
 // installs a resume hook to wake it (no polling); the simulator, which
-// checks paused() at each delivery, leaves the hook unset.
+// checks paused() at each delivery, leaves the hook unset. The mailbox
+// fabric likewise installs a heal hook to release the messages it parked on
+// cut links; the simulator releases its own after each fault action.
 //
 // Thread safety: mutations and reads are mutex-guarded; a relaxed `active_`
 // flag lets the fabrics skip the lock entirely until the first fault is ever
@@ -73,7 +75,8 @@ class LinkPolicy {
   [[nodiscard]] LinkState link(ProcessId from, ProcessId to) const
       ZDC_EXCLUDES(mu_);
 
-  /// Overrides one directed link.
+  /// Overrides one directed link, then calls the heal hook (the override
+  /// may re-open a cut link).
   void set_link(ProcessId from, ProcessId to, LinkState state)
       ZDC_EXCLUDES(mu_);
 
@@ -85,8 +88,8 @@ class LinkPolicy {
   void isolate(ProcessId p) ZDC_EXCLUDES(mu_);
 
   /// Clears every link override (partitions, isolations, drop/delay
-  /// overrides). Pause state is NOT touched — heal mends the network, not
-  /// the processes.
+  /// overrides), then calls the heal hook outside the policy mutex. Pause
+  /// state is NOT touched — heal mends the network, not the processes.
   void heal() ZDC_EXCLUDES(mu_);
 
   void pause(ProcessId p) ZDC_EXCLUDES(mu_);
@@ -98,6 +101,11 @@ class LinkPolicy {
   /// Set by runtime::Executor to wake a paused lane on resume; nullptr
   /// unsets it. Not a user option: one executor owns the hook at a time.
   void set_resume_hook(std::function<void(ProcessId)> hook) ZDC_EXCLUDES(mu_);
+
+  /// Set by runtime::InprocNetwork to release messages it parked on cut
+  /// links; called after every edit that can re-open one (heal, set_link),
+  /// outside the policy mutex. nullptr unsets it; one owner at a time.
+  void set_heal_hook(std::function<void()> hook) ZDC_EXCLUDES(mu_);
 
   // --- Corruption budgets (FaultPlan flip / scorrupt / equivocate) ---
   //
@@ -141,6 +149,8 @@ class LinkPolicy {
   }
 
  private:
+  /// Calls the heal hook, if any, outside mu_.
+  void run_heal_hook() ZDC_EXCLUDES(mu_);
   void touch() { active_.store(true, std::memory_order_release); }
 
   const std::uint32_t n_;
@@ -150,6 +160,7 @@ class LinkPolicy {
   std::vector<LinkState> links_ ZDC_GUARDED_BY(mu_);
   std::vector<std::uint8_t> paused_ ZDC_GUARDED_BY(mu_);
   std::function<void(ProcessId)> resume_hook_ ZDC_GUARDED_BY(mu_);
+  std::function<void()> heal_hook_ ZDC_GUARDED_BY(mu_);
 
   struct CorruptBudget {
     std::uint64_t count = 0;

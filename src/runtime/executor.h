@@ -6,6 +6,9 @@
 // need no locks; the transports keep only their wire code and post here.
 //   * A post from any thread notifies the lane; the only timed wait is for
 //     the heap's earliest due time. Nothing polls.
+//   * Lane threads run with a 1 ns timer slack on Linux, so a timed wait
+//     ends on its due time instead of up to the kernel's default 50 us
+//     later (a closure's delay costs that delay and nothing more).
 //   * A paused lane (fault::LinkPolicy::paused) blocks on its cv while its
 //     heap fills; the resume hook installed on the policy wakes it.
 //   * A crashed lane runs and accepts nothing; restart() wipes its heap.

@@ -44,6 +44,11 @@ InprocNetwork::InprocNetwork(Config cfg)
     }
   }
   handlers_.resize(cfg.n);
+  {
+    common::MutexLock lock(parked_mu_);
+    parked_.resize(static_cast<std::size_t>(cfg.n) * cfg.n);
+  }
+  links_.set_heal_hook([this] { release_unblocked(); });
 }
 
 InprocNetwork::~InprocNetwork() { shutdown(); }
@@ -85,34 +90,83 @@ void InprocNetwork::push(ProcessId to, Delivery delivery) {
         // delay: one modeled RTO per lost attempt, geometric count.
         while (inbox.rng.chance(link.drop_prob)) delay += 1.0;
       }
-      // A *blocked* reliable message is still posted; deliver() re-posts it
+      // A *blocked* reliable message is still posted; deliver() parks it
       // until the link heals (TCP stalls, it does not lose).
     }
   }
-  executor_.schedule(to, delay, [this, to, d = std::move(delivery)]() mutable {
-    deliver(to, d);
-  });
+  post(to, delay, std::move(delivery));
+}
+
+void InprocNetwork::post(ProcessId to, double delay_ms, Delivery delivery) {
+  executor_.schedule(to, delay_ms,
+                     [this, to, d = std::move(delivery)]() mutable {
+                       deliver(to, d);
+                     });
 }
 
 void InprocNetwork::deliver(ProcessId to, Delivery& delivery) {
   if (links_.link(delivery.from, to).blocked) {
-    // A reliable message that came due while its link is cut goes back to
-    // the lane (TCP stalls across the cut); it retries until the heal.
-    if (is_reliable(delivery.channel)) {
-      executor_.schedule(to, 1.0,
-                         [this, to, d = std::move(delivery)]() mutable {
-                           deliver(to, d);
-                         });
+    // Re-checked under parked_mu_: the heal hook takes it after re-opening
+    // the link, so a message is either delivered here or found by the hook.
+    common::MutexLock lock(parked_mu_);
+    if (links_.link(delivery.from, to).blocked) {
+      // Best-effort traffic that came due on a cut link is lost.
+      if (is_reliable(delivery.channel)) {
+        parked_[static_cast<std::size_t>(delivery.from) * cfg_.n + to]
+            .push_back(std::move(delivery));
+      }
+      return;
     }
-    return;
   }
   if (handlers_[to]) handlers_[to](delivery);
+}
+
+void InprocNetwork::release_unblocked() {
+  // Posts under parked_mu_, so a concurrent restart(to) either clears a
+  // message first or finds it posted while to's lane was still crashed
+  // (and so dropped): a dead incarnation's traffic never reaches the next.
+  common::MutexLock lock(parked_mu_);
+  for (ProcessId from = 0; from < cfg_.n; ++from) {
+    for (ProcessId to = 0; to < cfg_.n; ++to) {
+      auto& parked = parked_[static_cast<std::size_t>(from) * cfg_.n + to];
+      if (parked.empty() || links_.link(from, to).blocked) continue;
+      // The stalled connection resumes in order; each message paid its
+      // delay before it was parked.
+      for (auto& delivery : parked) {
+        // zdc-analyze: allow(recursive-lock): post() only queues deliver() on to's lane, which runs it later without parked_mu_ held
+        post(to, 0.0, std::move(delivery));
+      }
+      parked.clear();
+    }
+  }
+}
+
+void InprocNetwork::restart(ProcessId p) {
+  if (!crashed(p)) return;
+  {
+    // Parked messages toward p belong to the dead incarnation's inbox; they
+    // go before the lane is un-crashed, so a heal cannot hand them over.
+    common::MutexLock lock(parked_mu_);
+    for (ProcessId from = 0; from < cfg_.n; ++from) {
+      parked_[static_cast<std::size_t>(from) * cfg_.n + p].clear();
+    }
+  }
+  executor_.restart(p);
 }
 
 void InprocNetwork::send(Channel channel, ProcessId from, ProcessId to,
                          std::string bytes, InstanceId wab_instance) {
   ZDC_ASSERT(from < cfg_.n && to < cfg_.n);
   if (crashed(from) || crashed(to)) return;
+  if (is_local(channel, from, to)) {
+    // No wire, so no injected delay and no link faults.
+    executor_.schedule(
+        to, 0.0,
+        [this, to, d = Delivery{channel, from, std::move(bytes), wab_instance}] {
+          if (handlers_[to]) handlers_[to](d);
+        });
+    return;
+  }
   fault::CorruptSpec spec;
   if (is_reliable(channel) && links_.consume_corruption(from, to, &spec)) {
     // Surface-then-retransmit: the receiver sees the corrupted copy AND the

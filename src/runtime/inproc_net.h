@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "runtime/executor.h"
@@ -69,7 +71,7 @@ class InprocNetwork final : public Transport {
   [[nodiscard]] bool crashed(ProcessId p) const override {
     return executor_.crashed(p);
   }
-  void restart(ProcessId p) override { executor_.restart(p); }
+  void restart(ProcessId p) override;
   [[nodiscard]] fault::LinkPolicy& links() override { return links_; }
   [[nodiscard]] std::uint32_t size() const override { return cfg_.n; }
 
@@ -79,13 +81,23 @@ class InprocNetwork final : public Transport {
   /// Samples the injected delay and link faults of one delivery to `to`
   /// and posts it to to's lane (or drops it, for lost best-effort traffic).
   void push(ProcessId to, Delivery delivery);
-  /// Runs on to's lane once the delivery is due.
+  /// Posts `delivery` to to's lane, due in `delay_ms`, to run deliver().
+  void post(ProcessId to, double delay_ms, Delivery delivery);
+  /// Runs on to's lane once the delivery is due; parks it if its link is
+  /// cut.
   void deliver(ProcessId to, Delivery& delivery);
+  /// The heal hook: re-posts, due at once, every parked message whose link
+  /// is open again.
+  void release_unblocked();
 
   Config cfg_;
   fault::LinkPolicy links_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<Handler> handlers_;
+  /// Reliable messages due on a cut link, n*n row-major [from*n + to], in
+  /// arrival order. Taken before the policy and lane mutexes.
+  common::Mutex parked_mu_;
+  std::vector<std::vector<Delivery>> parked_ ZDC_GUARDED_BY(parked_mu_);
   Executor executor_;  // last: hooks into links_; its lanes use all above
 };
 

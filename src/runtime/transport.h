@@ -13,8 +13,11 @@
 //     objects need no locking;
 //   * nothing polls: schedule() from any thread wakes the lane at once, and
 //     a paused process blocks until LinkPolicy::resume() wakes it;
+//   * a timer runs on its due time, without the kernel's timer slack;
 //   * kProtocol and kCatchup are reliable between correct processes (no
 //     loss, no duplication); kHeartbeat and kWab are best-effort;
+//   * a reliable send to oneself is a local delivery (no delay, no
+//     datagram, no ARQ); best-effort self-sends take the wire;
 //   * broadcast() delivers to every process including the sender;
 //   * after crash(p), p neither sends nor receives nor runs timers.
 #pragma once
@@ -42,6 +45,15 @@ enum class Channel : std::uint8_t {
 /// datagrams.
 [[nodiscard]] constexpr bool is_reliable(Channel channel) {
   return channel == Channel::kProtocol || channel == Channel::kCatchup;
+}
+
+/// A reliable send to oneself never reaches the wire: it is a memory move
+/// onto the sender's own executor lane, due at once (no injected delay, no
+/// datagram, no ARQ). Best-effort self-sends take the wire, as the WAB echo
+/// does in the simulator.
+[[nodiscard]] constexpr bool is_local(Channel channel, ProcessId from,
+                                      ProcessId to) {
+  return from == to && is_reliable(channel);
 }
 
 /// Largest message one send/broadcast may carry. UdpNetwork puts each

@@ -208,6 +208,16 @@ void UdpNetwork::send(Channel channel, ProcessId from, ProcessId to,
                       std::string bytes, InstanceId wab_instance) {
   ZDC_ASSERT(from < cfg_.n && to < cfg_.n);
   if (crashed(from) || crashed(to)) return;
+  if (is_local(channel, from, to)) {
+    // No datagram, no ARQ entry, no ack, no dedupe.
+    executor_.schedule(
+        to, 0.0,
+        [this, to, d = Delivery{channel, from, std::move(bytes), wab_instance}] {
+          const Handler& handler = endpoints_[to]->handler;
+          if (handler) handler(d);
+        });
+    return;
+  }
 
   const auto encode = [&](std::uint64_t seq) {
     common::Encoder enc;

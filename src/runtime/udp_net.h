@@ -14,6 +14,9 @@
 //   * wire format: [type u8] then
 //       data: [channel u8][from u32][seq u64][wab u64][payload...]
 //       ack:  [from u32][seq u64]
+//   * a reliable send to oneself never touches the socket: it is posted to
+//     the sender's own lane due at once (no datagram, ARQ or ack);
+//     best-effort self-sends (the WAB echo) still take the wire;
 //   * reliable sends carry a per-(sender, receiver) sequence number, are
 //     acked by the receiver and retransmitted until acked; receivers dedupe
 //     with a watermark + out-of-order set, delivering in arrival order

@@ -1,7 +1,7 @@
 #include "runtime/workload.h"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <thread>
 #include <vector>
@@ -22,6 +22,11 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+Clock::duration to_duration(double ms) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
 }  // namespace
 
 RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg) {
@@ -29,7 +34,7 @@ RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg) {
 
   struct Shared {
     common::Mutex mu;
-    /// key -> submit time
+    /// key -> due time (each latency is timed from it)
     std::map<std::string, Clock::time_point> sent ZDC_GUARDED_BY(mu);
     /// key -> first delivery anywhere
     std::map<std::string, Clock::time_point> first_seen ZDC_GUARDED_BY(mu);
@@ -49,8 +54,8 @@ RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg) {
 
   obs::MetricsRegistry* metrics = cfg.cluster.metrics;
   // Two histograms instead of the old single zdc_workload_latency_ms:
-  // `adeliver` is submit → a-deliver at each replica (ordering latency),
-  // `reply` is submit → the submitting node's own delivery — the moment a
+  // `adeliver` is due → a-deliver at each replica (ordering latency),
+  // `reply` is due → the submitting node's own delivery — the moment a
   // client of that node would see its reply. The split keeps the exported
   // numbers honest next to service paths that never a-deliver at all
   // (read-index reads report under zdc_service_client_latency_ms instead).
@@ -85,44 +90,51 @@ RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg) {
   cluster.start();
   const auto start = Clock::now();
 
-  // Periodic metrics snapshots: a polling thread exports the registry as JSON
-  // every snapshot_period_ms. Polls in 1ms steps so teardown is prompt.
-  std::atomic<bool> snapshots_done{false};
+  // Periodic metrics snapshots: a thread exports the registry as JSON every
+  // snapshot_period_ms, sleeping on a condition variable that teardown
+  // signals, so it neither polls nor delays the join.
+  common::Mutex snapshot_mu;
+  std::condition_variable snapshot_cv;
+  bool snapshots_done = false;
   std::thread snapshot_thread;
   const bool snapshots_on = cfg.snapshot_period_ms > 0.0 &&
                             cfg.on_snapshot != nullptr && metrics != nullptr;
   if (snapshots_on) {
-    snapshot_thread = std::thread([&cfg, &snapshots_done, metrics] {
-      auto next = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                     std::chrono::duration<double, std::milli>(
-                                         cfg.snapshot_period_ms));
-      while (!snapshots_done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        if (Clock::now() >= next) {
-          cfg.on_snapshot(obs::to_json(metrics->snapshot()));
-          next += std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  cfg.snapshot_period_ms));
+    snapshot_thread = std::thread([&] {
+      const auto period = to_duration(cfg.snapshot_period_ms);
+      for (auto next = Clock::now() + period;; next += period) {
+        {
+          common::MutexLock lock(snapshot_mu);
+          if (snapshot_cv.wait_until(lock.inner(), next,
+                                     [&] { return snapshots_done; })) {
+            return;
+          }
         }
+        cfg.on_snapshot(obs::to_json(metrics->snapshot()));
       }
     });
   }
 
-  // Poisson arrivals from a driver thread; sender chosen uniformly.
+  // Open-loop Poisson arrivals from this thread, each scheduled by its
+  // absolute due time and timed from it: a late send (a slow a_broadcast,
+  // a descheduled generator) shows up as latency of the messages behind it
+  // rather than silently lowering the offered rate. Sender chosen uniformly.
   common::Rng rng(cfg.seed);
   const double mean_gap_ms = 1000.0 / cfg.throughput_per_s;
   const std::string filler(cfg.payload_bytes, 'x');
+  common::Sampler lateness_ms;
+  Clock::time_point due = start;
   for (std::uint32_t i = 0; i < cfg.message_count; ++i) {
-    const double gap = rng.exponential(mean_gap_ms);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(gap));
+    due += to_duration(rng.exponential(mean_gap_ms));
+    std::this_thread::sleep_until(due);
     const auto sender = static_cast<ProcessId>(rng.next_below(n));
     const std::string key =
         "w:" + std::to_string(sender) + ":" + std::to_string(i) + ":" + filler;
     {
       common::MutexLock lock(shared.mu);
-      shared.sent.emplace(key, Clock::now());
+      shared.sent.emplace(key, due);
     }
+    lateness_ms.add(ms_between(due, Clock::now()));
     cluster.node(sender).a_broadcast(key);
   }
 
@@ -139,7 +151,11 @@ RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg) {
   const auto end = Clock::now();
   cluster.shutdown();
   if (snapshots_on) {
-    snapshots_done.store(true, std::memory_order_release);
+    {
+      common::MutexLock lock(snapshot_mu);
+      snapshots_done = true;
+    }
+    snapshot_cv.notify_one();
     snapshot_thread.join();
     // One final snapshot so short runs always produce at least one export.
     cfg.on_snapshot(obs::to_json(metrics->snapshot()));
@@ -152,6 +168,8 @@ RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg) {
   RuntimeWorkloadResult result;
   result.complete = complete;
   result.duration_ms = ms_between(start, end);
+  result.gen_lateness_ms_p99 =
+      lateness_ms.count() > 0 ? lateness_ms.percentile(99) : 0.0;
   for (const auto& history : shared.histories) {
     result.delivered_total += history.size();
   }

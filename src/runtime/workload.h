@@ -1,7 +1,8 @@
 // Workload driver for the threaded runtime: the real-concurrency counterpart
-// of sim::run_abcast. A Poisson arrival thread a-broadcasts keyed payloads
-// through a RuntimeCluster (in-process mailboxes or real UDP sockets);
-// deliveries are timestamped and checked for total order — used by
+// of sim::run_abcast. An open-loop Poisson generator a-broadcasts keyed
+// payloads through a RuntimeCluster (in-process mailboxes or real UDP
+// sockets), each at its absolute due time; deliveries are timed from that
+// due time and checked for total order — used by
 // bench_runtime_validation to confirm that the protocol ordering the
 // simulator predicts also holds under genuine thread/socket timing.
 #pragma once
@@ -33,7 +34,8 @@ struct RuntimeWorkloadConfig {
 };
 
 struct RuntimeWorkloadResult {
-  /// Wall-clock latency from submission to the first a-delivery anywhere.
+  /// Wall-clock latency from a message's due time to its first a-delivery
+  /// anywhere.
   common::Sampler latency_ms;
   /// Per-delivery latency across ALL replicas: accumulated as one OnlineStats
   /// per replica worker thread and combined after the join with
@@ -43,6 +45,9 @@ struct RuntimeWorkloadResult {
   bool complete = false;  ///< every replica delivered every message
   std::uint64_t delivered_total = 0;
   double duration_ms = 0.0;
+  /// p99 of how late the generator sent past each due time: the offered
+  /// load is the asked-for one only while this stays small.
+  double gen_lateness_ms_p99 = 0.0;
 };
 
 RuntimeWorkloadResult run_runtime_workload(const RuntimeWorkloadConfig& cfg);

@@ -1,5 +1,6 @@
 // Unit tests for the threaded in-process network: delivery, per-process
-// serial handlers and the oracle channel's loss knob. Timers, pause, restart
+// serial handlers, the oracle channel's loss knob and reliable traffic
+// parked on cut links until the heal. Timers, pause, restart
 // and crash semantics are checked for both transports in
 // transport_contract_test.cpp.
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/inproc_net.h"
 #include "runtime/runtime_node.h"
+#include "test_sync.h"
 
 namespace zdc::runtime {
 namespace {
@@ -117,6 +120,61 @@ TEST(InprocNet, ShutdownIsIdempotentAndStopsDelivery) {
   net.shutdown();
   net.shutdown();  // idempotent
   EXPECT_EQ(got, 1);
+}
+
+TEST(InprocNet, CutLinkParksReliableMessagesUntilHeal) {
+  obs::MetricsRegistry metrics;
+  InprocNetwork::Config cfg = fast_net(2);
+  cfg.metrics = &metrics;
+  InprocNetwork net(cfg);
+  std::atomic<int> reliable{0};
+  std::atomic<int> wab{0};
+  net.set_handler(0, [](const Delivery&) {});
+  net.set_handler(1, [&](const Delivery& d) {
+    ++(d.channel == Channel::kWab ? wab : reliable);
+  });
+  net.start();
+  const obs::Counter& posts =
+      metrics.counter("zdc_inproc_messages_total", obs::process_label(1));
+
+  net.links().partition({0});
+  for (int i = 0; i < 3; ++i) net.send(Channel::kProtocol, 0, 1, "r");
+  net.send(Channel::kWab, 0, 1, "w", 1);
+  EXPECT_FALSE(testing::ever_within([&] { return reliable > 0 || wab > 0; },
+                                    std::chrono::milliseconds(50)));
+  // Parked, not polled: one lane post per reliable message while the link
+  // is cut (the datagram died at the send).
+  EXPECT_EQ(posts.value(), 3u);
+
+  net.links().heal();
+  EXPECT_TRUE(testing::poll_until([&] { return reliable == 3; },
+                                  std::chrono::milliseconds(100)));
+  EXPECT_EQ(posts.value(), 6u);  // plus one re-post each on the heal
+  EXPECT_EQ(wab, 0) << "best-effort traffic on a cut link is lost";
+  net.shutdown();
+}
+
+TEST(InprocNet, RestartDropsMessagesParkedTowardTheDeadIncarnation) {
+  InprocNetwork net(fast_net(2));
+  std::atomic<int> got{0};
+  net.set_handler(0, [](const Delivery&) {});
+  net.set_handler(1, [&](const Delivery& d) {
+    if (d.bytes == "old" || d.bytes == "new") ++got;
+  });
+  net.start();
+  net.links().set_link(0, 1, fault::LinkState{true, 0.0, 0.0});
+  net.send(Channel::kProtocol, 0, 1, "old");
+  EXPECT_FALSE(testing::ever_within([&] { return got > 0; },
+                                    std::chrono::milliseconds(30)));
+  net.crash(1);
+  net.restart(1);
+  net.links().set_link(0, 1, fault::LinkState{});  // re-opens: a heal
+  net.send(Channel::kProtocol, 0, 1, "new");
+  ASSERT_TRUE(testing::poll_until([&] { return got >= 1; }));
+  EXPECT_FALSE(testing::ever_within([&] { return got > 1; },
+                                    std::chrono::milliseconds(30)))
+      << "a message parked before the crash reached the new incarnation";
+  net.shutdown();
 }
 
 }  // namespace

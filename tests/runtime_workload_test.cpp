@@ -2,6 +2,9 @@
 // bench_runtime_validation).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/metrics.h"
 #include "runtime/workload.h"
 
 namespace zdc::runtime {
@@ -21,6 +24,31 @@ TEST(RuntimeWorkload, DeliversEverythingInTotalOrder) {
   EXPECT_EQ(r.delivered_total, 120u * 4);
   EXPECT_GT(r.latency_ms.count(), 0u);
   EXPECT_GT(r.latency_ms.mean(), 0.0);
+  // Open loop: every send happens at or after its due time.
+  EXPECT_GE(r.gen_lateness_ms_p99, 0.0);
+  EXPECT_LT(r.gen_lateness_ms_p99, r.duration_ms);
+}
+
+TEST(RuntimeWorkload, SnapshotsFollowTheirPeriod) {
+  obs::MetricsRegistry metrics;
+  RuntimeWorkloadConfig cfg;
+  cfg.cluster.group = GroupParams{4, 1};
+  cfg.cluster.kind = ProtocolKind::kCAbcastL;
+  cfg.cluster.metrics = &metrics;
+  cfg.throughput_per_s = 1000.0;
+  cfg.message_count = 200;  // about 200 ms of arrivals
+  cfg.snapshot_period_ms = 40.0;
+  int snapshots = 0;
+  cfg.on_snapshot = [&](const std::string& json) {
+    EXPECT_FALSE(json.empty());
+    ++snapshots;
+  };
+  auto r = run_runtime_workload(cfg);
+  ASSERT_TRUE(r.complete);
+  // One per period while it ran, plus the final one.
+  const int periods = static_cast<int>(r.duration_ms / 40.0);
+  EXPECT_GE(snapshots, periods / 2 + 1) << r.duration_ms << " ms";
+  EXPECT_LE(snapshots, periods + 2) << r.duration_ms << " ms";
 }
 
 TEST(RuntimeWorkload, PaxosGroupOfThree) {

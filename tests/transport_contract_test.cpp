@@ -5,6 +5,9 @@
 //     in due order;
 //   * schedule(p, 0) from a foreign thread runs promptly — it wakes the lane
 //     instead of waiting out a poll slice;
+//   * a timer fires on its due time, not a timer-slack later;
+//   * a reliable send to oneself is a local delivery: no injected delay, no
+//     datagram; a best-effort self-send still takes the wire;
 //   * pause freezes handlers and timers alike, and resume runs the backlog
 //     at once;
 //   * restart wipes everything the dead incarnation had queued;
@@ -14,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -22,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/inproc_net.h"
 #include "runtime/transport.h"
 #include "runtime/udp_net.h"
@@ -41,6 +46,9 @@ enum class Kind { kInproc, kUdp };
 constexpr double kForeignScheduleMedianMs = 3.0;
 /// How soon after resume() a paused process's backlog must have run.
 constexpr milliseconds kResumeBound{100};
+/// Median lateness bound of a sub-millisecond lane timer. Linux's default
+/// 50 us timer slack alone puts a lane that keeps it above this.
+constexpr double kTimerLatenessMedianUs = 35.0;
 
 double elapsed_ms(Clock::time_point since) {
   return std::chrono::duration<double, std::milli>(Clock::now() - since)
@@ -49,20 +57,25 @@ double elapsed_ms(Clock::time_point since) {
 
 class TransportContract : public ::testing::TestWithParam<Kind> {
  protected:
-  /// Default wire settings apart from short inproc delays: the UDP ARQ runs
-  /// at its stock retransmit interval.
-  std::unique_ptr<Transport> make(std::uint32_t n) const {
+  /// Default wire settings apart from short inproc delays (or
+  /// `inproc_delay_ms` on every inproc hop, when set): the UDP ARQ runs at
+  /// its stock retransmit interval.
+  std::unique_ptr<Transport> make(std::uint32_t n,
+                                  obs::MetricsRegistry* metrics = nullptr,
+                                  double inproc_delay_ms = 0.0) const {
     if (GetParam() == Kind::kInproc) {
       InprocNetwork::Config cfg;
       cfg.n = n;
       cfg.seed = 42;
-      cfg.min_delay_ms = 0.01;
-      cfg.max_delay_ms = 0.05;
+      cfg.min_delay_ms = inproc_delay_ms > 0.0 ? inproc_delay_ms : 0.01;
+      cfg.max_delay_ms = inproc_delay_ms > 0.0 ? inproc_delay_ms : 0.05;
+      cfg.metrics = metrics;
       return std::make_unique<InprocNetwork>(cfg);
     }
     UdpNetwork::Config cfg;
     cfg.n = n;
     cfg.seed = 77;
+    cfg.metrics = metrics;
     return std::make_unique<UdpNetwork>(cfg);
   }
 };
@@ -126,6 +139,104 @@ TEST_P(TransportContract, ForeignScheduleRunsPromptly) {
   std::sort(delays.begin(), delays.end());
   EXPECT_LE(delays[delays.size() / 2], kForeignScheduleMedianMs)
       << "slowest " << delays.back() << " ms";
+}
+
+TEST_P(TransportContract, TimersFireOnTime) {
+  auto net = make(1);
+  net->set_handler(0, [](const Delivery&) {});
+  net->start();
+  // A chain of timers, each armed on the lane by its predecessor, so the
+  // lane is idle in its timed wait when the next one comes due and the
+  // lateness is the wait's own.
+  constexpr int kTimers = 41;
+  std::vector<double> late_us;
+  std::promise<void> done;
+  std::function<void(int)> arm = [&](int i) {
+    const double delay_ms = 0.2 + 0.2 * i / (kTimers - 1);
+    const Clock::time_point due =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(delay_ms));
+    net->schedule(0, delay_ms, [&, i, due] {
+      late_us.push_back(
+          std::chrono::duration<double, std::micro>(Clock::now() - due)
+              .count());
+      if (i + 1 < kTimers) {
+        arm(i + 1);
+      } else {
+        done.set_value();
+      }
+    });
+  };
+  net->schedule(0, 0.0, [&] { arm(0); });
+  ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  net->shutdown();  // joins the lane: late_us is ours again
+  std::sort(late_us.begin(), late_us.end());
+  EXPECT_LE(late_us[late_us.size() / 2], kTimerLatenessMedianUs)
+      << "p90 " << late_us[late_us.size() * 9 / 10] << " us";
+}
+
+TEST_P(TransportContract, ReliableSelfSendIsLocal) {
+  // Every inproc wire hop costs 20 ms here, so only a local delivery beats a
+  // 10 ms timer; on UDP a wire hop is a datagram the counter sees.
+  obs::MetricsRegistry metrics;
+  auto net = make(2, &metrics, 20.0);
+  std::mutex mu;
+  std::vector<std::string> log;
+  const auto note = [&](std::string event) {
+    std::lock_guard<std::mutex> lock(mu);
+    log.push_back(std::move(event));
+  };
+  const auto logged = [&](std::size_t count) {
+    return testing::poll_until([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      return log.size() == count;
+    });
+  };
+  net->set_handler(0, [&](const Delivery& d) { note(d.bytes); });
+  net->set_handler(1, [](const Delivery&) {});
+  net->start();
+  const obs::Counter& datagrams = metrics.counter(
+      "zdc_udp_datagrams_sent_total", obs::process_label(0));
+
+  // Reliable channels: local, ahead of the timer, no datagram.
+  const std::uint64_t before = datagrams.value();
+  net->schedule(0, 10.0, [&] { note("timer"); });
+  net->send(Channel::kProtocol, 0, 0, "protocol");
+  net->send(Channel::kCatchup, 0, 0, "catchup");
+  ASSERT_TRUE(logged(3));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(log, (std::vector<std::string>{"protocol", "catchup", "timer"}));
+    log.clear();
+  }
+  EXPECT_EQ(datagrams.value(), before);
+
+  // Best-effort: the WAB echo still crosses the wire.
+  net->schedule(0, 10.0, [&] { note("timer"); });
+  net->send(Channel::kWab, 0, 0, "wab", 7);
+  ASSERT_TRUE(logged(2));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (GetParam() == Kind::kInproc) {
+      EXPECT_EQ(log, (std::vector<std::string>{"timer", "wab"}));
+    }
+    log.clear();
+  }
+  if (GetParam() == Kind::kUdp) {
+    EXPECT_EQ(datagrams.value(), before + 1);
+  }
+
+  // A crashed sender hands itself nothing.
+  net->crash(0);
+  net->send(Channel::kProtocol, 0, 0, "dead");
+  EXPECT_FALSE(testing::ever_within(
+      [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        return !log.empty();
+      },
+      milliseconds(30)));
+  net->shutdown();
 }
 
 TEST_P(TransportContract, PauseFreezesHandlersAndTimersUntilResume) {

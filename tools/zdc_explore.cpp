@@ -423,6 +423,7 @@ int run_runtime_mode(const Flags& flags) {
               static_cast<unsigned long long>(r.delivered_total),
               r.duration_ms, r.total_order_ok ? "ok" : "VIOLATED",
               r.complete ? "yes" : "NO");
+  std::printf("generator lateness p99=%.3f ms\n", r.gen_lateness_ms_p99);
   if (flags.has("trace")) {
     const sim::TraceRecorder trace = recorder.freeze();
     std::printf("\n%s", trace.render_spacetime(cfg.cluster.group.n).c_str());
