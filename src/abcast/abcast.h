@@ -62,6 +62,9 @@ struct AbcastMetrics {
   std::uint64_t a_deliveries = 0;
   std::uint64_t w_broadcasts = 0;
   std::uint64_t consensus_instances = 0;
+  /// C-Abcast rounds decided here in one step (the fast path), or more.
+  std::uint64_t one_step_decisions = 0;
+  std::uint64_t slow_decisions = 0;
   common::ProtocolMetrics transport;  ///< unicasts/bytes incl. sub-consensus
   /// Frames whose integrity seal failed (common::open_frame) and were
   /// dropped before decoding; always 0 for protocols without a seal.

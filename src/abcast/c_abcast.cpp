@@ -150,7 +150,13 @@ void CAbcast::on_fd_change() {
 
 void CAbcast::on_instance_decided(InstanceId k, const Value& v) {
   // Always reached from inside call_instances: the caller's step() acts on it.
-  instance(k).decision = v;
+  Instance& inst = instance(k);
+  inst.decision = v;
+  if (inst.cons->decision_steps() == 1) {
+    ++metrics_.one_step_decisions;
+  } else {
+    ++metrics_.slow_decisions;
+  }
 }
 
 std::size_t CAbcast::encode_pending(InstanceId s, std::string* out) {

@@ -87,13 +87,6 @@ class InMemoryStableStorage final : public StableStorage {
     return syncs_;
   }
 
-  /// Crash model hook for harnesses: staged-but-unsynced writes do NOT
-  /// survive a crash. Called at the point a simulated process dies.
-  void drop_unsynced() {
-    MutexLock lock(mu_);
-    pending_.clear();
-  }
-
  private:
   mutable Mutex mu_;
   std::map<std::string, std::string> data_ ZDC_GUARDED_BY(mu_);

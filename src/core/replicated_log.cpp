@@ -38,12 +38,9 @@ std::string ReplicatedLogStateMachine::apply(const std::string& command) {
     case LogOp::kAppend:
       entries_.push_back(data);
       return "idx:" + std::to_string(next_index_++);
-    case LogOp::kRead: {
-      if (num < first_index_ || num >= next_index_) return "out_of_range";
-      return "data:" + entries_[num - first_index_];
-    }
+    case LogOp::kRead:
     case LogOp::kLen:
-      return "len:" + std::to_string(next_index_);
+      return read_only(op, num);
     case LogOp::kTrim: {
       while (first_index_ < num && !entries_.empty()) {
         entries_.pop_front();
@@ -53,6 +50,24 @@ std::string ReplicatedLogStateMachine::apply(const std::string& command) {
     }
   }
   return "error:unknown_op";
+}
+
+std::string ReplicatedLogStateMachine::apply_read(
+    const std::string& query) const {
+  common::Decoder dec(query);
+  const auto op = static_cast<LogOp>(dec.get_u8());
+  static_cast<void>(dec.get_string());
+  const std::uint64_t num = dec.get_u64();
+  if (!dec.done()) return "error:malformed";
+  if (op != LogOp::kRead && op != LogOp::kLen) return "error:unsupported_read";
+  return read_only(op, num);
+}
+
+std::string ReplicatedLogStateMachine::read_only(LogOp op,
+                                                 std::uint64_t num) const {
+  if (op == LogOp::kLen) return "len:" + std::to_string(next_index_);
+  if (num < first_index_ || num >= next_index_) return "out_of_range";
+  return "data:" + entries_[num - first_index_];
 }
 
 std::string ReplicatedLogStateMachine::snapshot() const {

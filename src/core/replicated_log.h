@@ -39,6 +39,8 @@ std::string log_trim(std::uint64_t up_to_index);
 class ReplicatedLogStateMachine final : public StateMachine {
  public:
   std::string apply(const std::string& command) override;
+  /// READ and LEN, the read-only commands, for read-index serving.
+  [[nodiscard]] std::string apply_read(const std::string& query) const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::string serialize() const override;
   [[nodiscard]] bool restore(const std::string& image) override;
@@ -54,6 +56,9 @@ class ReplicatedLogStateMachine final : public StateMachine {
   [[nodiscard]] std::optional<std::string> entry(std::uint64_t index) const;
 
  private:
+  /// The reply of a read-only op (READ or LEN).
+  [[nodiscard]] std::string read_only(LogOp op, std::uint64_t num) const;
+
   std::deque<std::string> entries_;
   std::uint64_t first_index_ = 0;  ///< index of entries_.front()
   std::uint64_t next_index_ = 0;   ///< index the next append receives

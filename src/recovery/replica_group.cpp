@@ -13,6 +13,7 @@ ReplicaGroup::ReplicaGroup(const zdc::RunOptions& opts,
   ZDC_ASSERT(make_machine_ != nullptr);
   auto cluster_cfg = runtime::RuntimeCluster::Config::from_options(opts);
   cluster_cfg.kind = cfg_.kind;
+  cluster_cfg.transport = cfg_.transport;
   cluster_ = std::make_unique<runtime::RuntimeCluster>(
       std::move(cluster_cfg),
       [this](ProcessId p, const abcast::AppMessage& m) {

@@ -50,6 +50,10 @@ class ReplicaGroup {
 
   struct Config {
     runtime::ProtocolKind kind = runtime::ProtocolKind::kCAbcastL;
+    /// Which transport the cluster builds; kSim runs the whole group
+    /// single-threaded in virtual time (RuntimeCluster::sim()).
+    runtime::RuntimeCluster::TransportKind transport =
+        runtime::RuntimeCluster::TransportKind::kInproc;
     DurableRsm::Config rsm;
     abcast::DeliveryLog::Config retention;
     CatchupService::Config catchup;  ///< metrics/now_ms ride here

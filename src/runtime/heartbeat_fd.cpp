@@ -16,11 +16,11 @@ HeartbeatFd::HeartbeatFd(ProcessId self, Transport& net, Config cfg,
       net_(net),
       cfg_(cfg),
       on_change_(std::move(on_change)),
-      last_seen_(net.size(), Clock::now()),
-      last_endorsed_me_(net.size(), Clock::now()),
+      last_seen_(net.size(), net.now_ms()),
+      last_endorsed_me_(net.size(), net.now_ms()),
       endorses_me_(net.size(), false),
-      endorse_since_(net.size(), Clock::now()),
-      epoch_(Clock::now()),
+      endorse_since_(net.size(), net.now_ms()),
+      epoch_(net.now_ms()),
       bonus_ms_(net.size(), 0.0),
       mean_gap_ms_(net.size(), 0.0),
       dev_gap_ms_(net.size(), 0.0),
@@ -54,7 +54,7 @@ double HeartbeatFd::ms_since_quorum_endorsement() const {
   // heartbeat naming me leader" (self = 0, a peer currently naming someone
   // else = +inf) and take the (⌈n/2⌉)-th smallest — the youngest age such
   // that a majority endorses this process within it.
-  const Clock::time_point now = Clock::now();
+  const double now = net_.now_ms();
   std::vector<double> ages;
   ages.reserve(n_);
   for (ProcessId p = 0; p < n_; ++p) {
@@ -63,9 +63,7 @@ double HeartbeatFd::ms_since_quorum_endorsement() const {
     } else if (!endorses_me_[p]) {
       ages.push_back(std::numeric_limits<double>::infinity());
     } else {
-      ages.push_back(std::chrono::duration<double, std::milli>(
-                         now - last_endorsed_me_[p])
-                         .count());
+      ages.push_back(now - last_endorsed_me_[p]);
     }
   }
   const std::size_t majority = n_ / 2 + 1;
@@ -85,22 +83,17 @@ double HeartbeatFd::quorum_endorsement_streak_ms() const {
   // the continuity a new leader's pre-serve wait is measured against;
   // taking the k-th smallest of per-member starts is conservative (a
   // rotating quorum could have held longer), which only delays serving.
-  const Clock::time_point now = Clock::now();
+  const double now = net_.now_ms();
   std::vector<double> held_ms;
   held_ms.reserve(n_);
   for (ProcessId p = 0; p < n_; ++p) {
     if (p == self_) {
-      held_ms.push_back(
-          std::chrono::duration<double, std::milli>(now - epoch_).count());
+      held_ms.push_back(now - epoch_);
     } else if (!endorses_me_[p] ||
-               std::chrono::duration<double, std::milli>(
-                   now - last_endorsed_me_[p])
-                       .count() >= cfg_.endorsement_stale_ms) {
+               now - last_endorsed_me_[p] >= cfg_.endorsement_stale_ms) {
       held_ms.push_back(0.0);
     } else {
-      held_ms.push_back(std::chrono::duration<double, std::milli>(
-                            now - endorse_since_[p])
-                            .count());
+      held_ms.push_back(now - endorse_since_[p]);
     }
   }
   const std::size_t majority = n_ / 2 + 1;
@@ -118,7 +111,7 @@ void HeartbeatFd::start() {
 
 void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
   if (from >= n_) return;
-  const Clock::time_point now = Clock::now();
+  const double now = net_.now_ms();
   if (from != self_) {
     // Endorsement tracking: a heartbeat naming self refreshes the peer's
     // endorsement; one naming anyone else revokes it on the spot (the
@@ -129,9 +122,7 @@ void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
       // A run is unbroken only while consecutive endorsing heartbeats are
       // less than one stale-bound apart; otherwise the streak restarts here
       // (the peer's endorsement had lapsed in between).
-      const double gap_ms = std::chrono::duration<double, std::milli>(
-                                now - last_endorsed_me_[from])
-                                .count();
+      const double gap_ms = now - last_endorsed_me_[from];
       if (!endorses_me_[from] || gap_ms >= cfg_.endorsement_stale_ms) {
         endorse_since_[from] = now;
       }
@@ -145,9 +136,7 @@ void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
     // suspicion are excluded: a pause/crash outage would blow the mean up and
     // stall completeness for everyone's benefit of one outlier — the
     // false-suspicion bonus below handles those instead.
-    const double gap_ms =
-        std::chrono::duration<double, std::milli>(now - last_seen_[from])
-            .count();
+    const double gap_ms = now - last_seen_[from];
     if (!have_gap_[from]) {
       mean_gap_ms_[from] = gap_ms;
       dev_gap_ms_[from] = gap_ms / 2.0;
@@ -174,7 +163,7 @@ void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
 }
 
 void HeartbeatFd::restart_on_worker() {
-  const Clock::time_point now = Clock::now();
+  const double now = net_.now_ms();
   for (ProcessId p = 0; p < n_; ++p) {
     last_seen_[p] = now;
     // Endorsements from before the outage are void: peers may have moved to
@@ -196,14 +185,13 @@ void HeartbeatFd::tick() {
   common::Encoder hb;
   hb.put_u32(omega_.leader());
   net_.broadcast(Channel::kHeartbeat, self_, hb.take());
-  last_seen_[self_] = Clock::now();  // never suspect yourself
+  const double now = net_.now_ms();
+  last_seen_[self_] = now;  // never suspect yourself
 
   bool changed = false;
-  const Clock::time_point now = Clock::now();
   for (ProcessId p = 0; p < n_; ++p) {
     if (p == self_ || suspected_[p].load(std::memory_order_relaxed)) continue;
-    const double silent_ms =
-        std::chrono::duration<double, std::milli>(now - last_seen_[p]).count();
+    const double silent_ms = now - last_seen_[p];
     if (silent_ms > effective_timeout_ms(p)) {
       suspected_[p].store(true, std::memory_order_release);
       changed = true;

@@ -10,6 +10,9 @@
 // partially-synchronous executions, while Strong Completeness follows from
 // crashed processes staying silent forever.
 //
+// Every age is a Transport::now_ms() reading: the wall clock on threads,
+// virtual time on the simulator.
+//
 // Threading: all calls (ticks, on_heartbeat, estimator reads) happen on the
 // owning process's worker thread, so the module needs no internal locking and
 // carries no ZDC_GUARDED_BY annotations — the estimator vectors are
@@ -20,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -122,8 +124,6 @@ class HeartbeatFd final : public fd::SuspectView {
   [[nodiscard]] double quorum_endorsement_streak_ms() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   void tick();
 
   const ProcessId self_;
@@ -131,14 +131,15 @@ class HeartbeatFd final : public fd::SuspectView {
   const Config cfg_;
   std::function<void()> on_change_;
 
-  // All per-peer estimator state is worker-thread-only.
-  std::vector<Clock::time_point> last_seen_;
-  std::vector<Clock::time_point> last_endorsed_me_;
+  // All per-peer estimator state is worker-thread-only; times are
+  // Transport::now_ms() readings.
+  std::vector<double> last_seen_;
+  std::vector<double> last_endorsed_me_;
   std::vector<bool> endorses_me_;  ///< peer's latest heartbeat named self
   /// Start of peer p's current unbroken endorsement run (reset whenever the
   /// peer stopped endorsing or left a >= endorsement_stale_ms gap).
-  std::vector<Clock::time_point> endorse_since_;
-  Clock::time_point epoch_;  ///< construction time (self's held-since)
+  std::vector<double> endorse_since_;
+  double epoch_;  ///< construction time (self's held-since)
   std::vector<double> bonus_ms_;     ///< accumulated false-suspicion bonus
   std::vector<double> mean_gap_ms_;  ///< EWMA of inter-arrival gaps
   std::vector<double> dev_gap_ms_;   ///< EWMA of gap deviation

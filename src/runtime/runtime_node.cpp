@@ -157,8 +157,8 @@ RuntimeCluster::Config RuntimeCluster::Config::from_options(
   cfg.batching = batching;
   cfg.metrics = metrics;
   cfg.storage_factory = storage_factory;
-  // Sim-fabric knobs with no runtime counterpart (see the header comment).
-  static_cast<void>(net);
+  cfg.lan = net;
+  // Sim-world knobs with no runtime counterpart (see the header comment).
   static_cast<void>(fd);
   static_cast<void>(trace);
   // Service-layer knobs are mostly consumed one level up (rsm::ServiceGroup
@@ -178,6 +178,11 @@ RuntimeCluster::RuntimeCluster(
     udp_cfg.n = cfg.group.n;
     udp_cfg.metrics = cfg.metrics;
     net_ = std::make_unique<UdpNetwork>(udp_cfg);
+  } else if (cfg.transport == TransportKind::kSim) {
+    auto sim = std::make_unique<sim::SimTransport>(sim::SimTransport::Config{
+        cfg.group.n, cfg.lan, cfg.net.seed, cfg.metrics});
+    sim_ = sim.get();
+    net_ = std::move(sim);
   } else {
     InprocNetwork::Config net_cfg = cfg.net;
     net_cfg.n = cfg.group.n;

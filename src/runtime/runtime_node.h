@@ -1,9 +1,10 @@
 // Assembly of a full replica on the threaded runtime: transport demux +
 // heartbeat failure detector + a pluggable atomic-broadcast protocol.
 //
-// RuntimeCluster builds n such replicas over one InprocNetwork — the
-// in-process stand-in for the paper's 4-workstation cluster — and is what the
-// examples and the integration tests run against.
+// RuntimeCluster builds n such replicas over one transport — by default an
+// InprocNetwork, the in-process stand-in for the paper's 4-workstation
+// cluster — and is what the examples and the integration tests run against.
+// On sim::SimTransport the same cluster runs single-threaded in virtual time.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "runtime/heartbeat_fd.h"
 #include "runtime/inproc_net.h"
 #include "runtime/udp_net.h"
+#include "sim/sim_transport.h"
 
 namespace zdc::runtime {
 
@@ -91,16 +93,18 @@ class RuntimeNode {
 };
 
 /// n replicas over one transport (in-process mailboxes by default, real
-/// loopback UDP sockets with kTransportUdp).
+/// loopback UDP sockets with kUdp, the simulated LAN in virtual time with
+/// kSim).
 class RuntimeCluster {
  public:
-  enum class TransportKind : std::uint8_t { kInproc, kUdp };
+  enum class TransportKind : std::uint8_t { kInproc, kUdp, kSim };
 
   struct Config {
     GroupParams group{4, 1};
     TransportKind transport = TransportKind::kInproc;
     InprocNetwork::Config net;  ///< kInproc; .n is overwritten with group.n
     UdpNetwork::Config udp;     ///< kUdp; .n is overwritten with group.n
+    sim::NetworkConfig lan;     ///< kSim: hop timing; seeded with net.seed
     ProtocolKind kind = ProtocolKind::kCAbcastL;
     HeartbeatFd::Config fd;
     abcast::BatchingOptions batching;
@@ -116,11 +120,12 @@ class RuntimeCluster {
     common::StorageFactory storage_factory;
 
     /// Maps the shared run-options bundle onto a cluster config: group, seed,
-    /// batching, metrics and storage_factory carry over.
-    /// `opts.net`/`opts.fd`/`opts.trace` are sim-fabric knobs (LanModel,
-    /// FdSim, single-threaded TraceRecorder) and are deliberately ignored —
-    /// the runtime has a real network, a real heartbeat detector and its own
-    /// thread-safe RuntimeTraceRecorder. The mapping is exhaustive by
+    /// batching, metrics and storage_factory carry over, and `opts.net`
+    /// times the hops of a kSim cluster. `opts.fd`/`opts.trace` are
+    /// sim-world knobs (FdSim, single-threaded TraceRecorder) and are
+    /// deliberately ignored — every transport runs the real heartbeat
+    /// detector, and the runtime has its own thread-safe
+    /// RuntimeTraceRecorder. The mapping is exhaustive by
     /// construction (structured binding over RunOptions): adding a RunOptions
     /// field without deciding its fate here fails to compile.
     static Config from_options(const zdc::RunOptions& opts);
@@ -137,6 +142,9 @@ class RuntimeCluster {
 
   RuntimeNode& node(ProcessId p) { return *nodes_[p]; }
   Transport& network() { return *net_; }
+  /// The simulated transport of a kSim cluster (its clock and run loop);
+  /// null on threads.
+  [[nodiscard]] sim::SimTransport* sim() { return sim_; }
   void crash(ProcessId p) { net_->crash(p); }
 
   /// Per-process stable storage, built from Config::storage_factory at
@@ -162,6 +170,7 @@ class RuntimeCluster {
 
  private:
   std::unique_ptr<Transport> net_;
+  sim::SimTransport* sim_ = nullptr;  ///< net_ when kSim
   std::vector<std::unique_ptr<RuntimeNode>> nodes_;
   common::StorageFactory storage_factory_;
   std::vector<std::unique_ptr<common::StableStorage>> storages_;

@@ -1,19 +1,25 @@
-// Abstract transport of the threaded runtime.
+// Abstract transport of the runtime stack (RuntimeCluster and everything
+// built on it).
 //
-// Two implementations ship, each keeping only its wire code on top of one
-// runtime::Executor (executor.h):
+// Three implementations ship. Two run on threads, each keeping only its wire
+// code on top of one runtime::Executor (executor.h):
 //   * InprocNetwork — in-process delivery with injected delays (hermetic);
 //   * UdpNetwork    — real loopback UDP sockets with a go-back-style ARQ for
 //                     the reliable channel (the paper's TCP) and raw
 //                     datagrams for heartbeats and the ordering oracle.
+// The third runs the same stack single-threaded in virtual time:
+//   * sim::SimTransport — every hop timed by the simulator's LAN model on
+//                     sim::Fabric; byte-identical per seed (sim_transport.h).
 //
-// Contract (both implementations; tests/transport_contract_test.cpp):
+// Contract (all three; tests/transport_contract_test.cpp):
 //   * each process has one executor lane: its handlers and scheduled
-//     callbacks all run on that lane's thread, in due order — protocol
-//     objects need no locking;
+//     callbacks all run on that lane, in due order — protocol objects need
+//     no locking (on the simulator every lane is the one driving thread);
 //   * nothing polls: schedule() from any thread wakes the lane at once, and
 //     a paused process blocks until LinkPolicy::resume() wakes it;
 //   * a timer runs on its due time, without the kernel's timer slack;
+//   * now_ms() is the clock every timeout above the transport reads (the
+//     wall clock on threads, virtual time on the simulator);
 //   * kProtocol and kCatchup are reliable between correct processes (no
 //     loss, no duplication); kHeartbeat and kWab are best-effort;
 //   * a reliable send to oneself is a local delivery (no delay, no
@@ -22,6 +28,7 @@
 //   * after crash(p), p neither sends nor receives nor runs timers.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -115,6 +122,15 @@ class Transport {
   [[nodiscard]] virtual fault::LinkPolicy& links() = 0;
 
   [[nodiscard]] virtual std::uint32_t size() const = 0;
+
+  /// The clock HeartbeatFd's timeouts and lease ages read, in ms (only
+  /// differences mean anything): steady wall clock here, virtual time on
+  /// the simulator.
+  [[nodiscard]] virtual double now_ms() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
 };
 
 }  // namespace zdc::runtime

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "sim/sim_transport.h"
 
 namespace zdc::rsm {
 
@@ -137,14 +138,8 @@ void ServiceGroup::on_applied(ProcessId p, const Envelope& e,
         // clients retry until the holder's apply answers them.
         if (!holds_lease(p)) return;
       }
-      const Key key{e.client, e.kind == EnvelopeKind::kClose ? 0 : e.seqno};
-      common::MutexLock lock(mu_);
-      const auto it = pending_.find(key);
-      if (it != pending_.end() && !it->second.done) {
-        it->second.done = true;
-        it->second.reply = reply;
-        cv_.notify_all();
-      }
+      complete(Key{e.client, e.kind == EnvelopeKind::kClose ? 0 : e.seqno},
+               reply);
       return;
     }
     case EnvelopeKind::kBare:
@@ -195,128 +190,173 @@ void ServiceGroup::gate_poll(ProcessId p) {
 }
 
 std::string Client::execute(std::string command) {
-  ++seqno_;
-  svc_->writes_.fetch_add(1, std::memory_order_relaxed);
-  if (svc_->writes_ctr_ != nullptr) svc_->writes_ctr_->inc();
-  const std::string framed = frame_request(id_, seqno_, std::move(command));
-  return svc_->await_reply(ServiceGroup::Key{id_, seqno_}, home_, framed);
+  return svc_->await(svc_->begin(*this, ServiceGroup::CallKind::kWrite,
+                                 std::move(command), nullptr));
+}
+
+void Client::execute(std::string command, Done done) {
+  svc_->arm_retry(svc_->begin(*this, ServiceGroup::CallKind::kWrite,
+                              std::move(command), std::move(done)));
 }
 
 std::string Client::read(std::string query) {
-  return svc_->submit_read(*this, query);
+  return svc_->await(svc_->begin(*this, ServiceGroup::CallKind::kRead,
+                                 std::move(query), nullptr));
+}
+
+void Client::read(std::string query, Done done) {
+  svc_->arm_retry(svc_->begin(*this, ServiceGroup::CallKind::kRead,
+                              std::move(query), std::move(done)));
 }
 
 void Client::close_session() {
-  const std::string framed = frame_close(id_);
-  static_cast<void>(
-      svc_->await_reply(ServiceGroup::Key{id_, 0}, home_, framed));
+  static_cast<void>(svc_->await(
+      svc_->begin(*this, ServiceGroup::CallKind::kClose, {}, nullptr)));
 }
 
-std::string ServiceGroup::await_reply(const Key& key, ProcessId home,
-                                      const std::string& framed) {
-  {
-    common::MutexLock lock(mu_);
-    pending_[key] = Pending{};
-  }
-  const auto wait_slice =
-      std::chrono::duration<double, std::milli>(cfg_.client_retry_ms);
-  for (int attempt = 0; attempt < cfg_.client_max_attempts; ++attempt) {
-    if (attempt > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-    // Rotate the home replica on retry: the original may be crashed or
-    // partitioned. Resubmitting the SAME envelope is safe — dedup turns
-    // the duplicate into a cached-reply lookup.
-    const ProcessId target = (home + static_cast<ProcessId>(attempt)) % n_;
-    group_->submit(target, framed);
-    common::MutexLock lock(mu_);
-    const auto it = pending_.find(key);
-    while (!it->second.done && !stopping_.load(std::memory_order_acquire)) {
-      // One timed slice per attempt; cv_status::timeout => resubmit. (A
-      // spurious wakeup re-arms the full slice — harmless, bounded by real
-      // notifies.)
-      if (cv_.wait_for(lock.inner(), wait_slice) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (it->second.done) {
-      std::string reply = std::move(it->second.reply);
-      pending_.erase(it);
-      return reply;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-  }
-  common::MutexLock lock(mu_);
-  pending_.erase(key);
-  return "error:timeout";
+void Client::close_session(Done done) {
+  svc_->arm_retry(svc_->begin(*this, ServiceGroup::CallKind::kClose, {},
+                              std::move(done)));
 }
 
-std::string ServiceGroup::submit_read(Client& c, const std::string& query) {
-  ++c.seqno_;
-  const Key key{c.id_, c.seqno_};
-  if (!service_.read_index) {
+ServiceGroup::Key ServiceGroup::begin(Client& c, CallKind kind,
+                                      std::string payload,
+                                      Client::Done on_done) {
+  const Key key{c.id_, kind == CallKind::kClose ? 0 : ++c.seqno_};
+  std::string body;
+  if (kind == CallKind::kWrite) {
+    writes_.fetch_add(1, std::memory_order_relaxed);
+    if (writes_ctr_ != nullptr) writes_ctr_->inc();
+    body = frame_request(c.id_, key.second, std::move(payload));
+  } else if (kind == CallKind::kClose) {
+    body = frame_close(c.id_);
+  } else if (service_.read_index) {
+    // Framed, and counted, by the lane that serves or downgrades it.
+    body = std::move(payload);
+  } else {
     ordered_reads_.fetch_add(1, std::memory_order_relaxed);
     if (ordered_reads_ctr_ != nullptr) ordered_reads_ctr_->inc();
-    return await_reply(key, c.home_, frame_read(c.id_, c.seqno_, query));
+    body = frame_read(c.id_, key.second, payload);
   }
+  const Call call{kind, std::move(body), c.home_, 0, false, {},
+                  std::move(on_done)};
   {
     common::MutexLock lock(mu_);
-    pending_[key] = Pending{};
+    pending_[key] = call;
   }
-  const auto wait_slice =
-      std::chrono::duration<double, std::milli>(cfg_.client_retry_ms);
-  for (int attempt = 0; attempt < cfg_.client_max_attempts; ++attempt) {
-    if (attempt > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-    // Try the leader first (its worker evaluates the lease gate); rotate on
-    // timeout like writes do.
-    ProcessId candidate =
-        group_->cluster().node(c.home_).failure_detector().omega().leader();
-    if (candidate == kNoProcess) candidate = c.home_;
-    candidate = (candidate + static_cast<ProcessId>(attempt)) % n_;
-    group_->cluster().network().schedule(
-        candidate, 0.0, [this, candidate, key, query] {
-          // Worker thread `candidate`: the only thread that may read this
-          // replica's gate, endorsement clocks and applied state.
-          const Gate& g = *gates_[candidate];
-          const bool lease_ok = holds_lease(candidate) && g.barrier_applied;
-          if (lease_ok) {
-            // THE fast path: reply from applied state, zero consensus
-            // rounds, zero message delays beyond the client hop.
-            const core::StateMachine* m = group_->machine(candidate);
-            std::string reply = m->apply_read(query);
-            fast_reads_.fetch_add(1, std::memory_order_relaxed);
-            if (fast_reads_ctr_ != nullptr) fast_reads_ctr_->inc();
-            common::MutexLock lock(mu_);
-            const auto it = pending_.find(key);
-            if (it != pending_.end() && !it->second.done) {
-              it->second.done = true;
-              it->second.reply = std::move(reply);
-              cv_.notify_all();
-            }
-          } else {
-            // Downgrade: order the read like a write. Linearizable without
-            // any lease assumption, one consensus round slower.
-            ordered_reads_.fetch_add(1, std::memory_order_relaxed);
-            if (ordered_reads_ctr_ != nullptr) ordered_reads_ctr_->inc();
-            group_->cluster().node(candidate).a_broadcast(
-                frame_read(key.first, key.second, query));
-          }
-        });
+  send_attempt(key, call);
+  return key;
+}
+
+void ServiceGroup::send_attempt(const Key& key, const Call& call) {
+  const auto rotation = static_cast<ProcessId>(call.attempt);
+  if (call.kind != CallKind::kRead || !service_.read_index) {
+    group_->submit((call.home + rotation) % n_, call.body);
+    return;
+  }
+  // Try the leader first (its lane evaluates the lease gate); rotate on
+  // timeout like writes do.
+  ProcessId candidate =
+      group_->cluster().node(call.home).failure_detector().omega().leader();
+  if (candidate == kNoProcess) candidate = call.home;
+  candidate = (candidate + rotation) % n_;
+  group_->cluster().network().schedule(
+      candidate, 0.0, [this, candidate, key, query = call.body] {
+        // Lane `candidate`: the only one that may read this replica's gate,
+        // endorsement clocks and applied state.
+        const Gate& g = *gates_[candidate];
+        if (holds_lease(candidate) && g.barrier_applied) {
+          // THE fast path: reply from applied state, zero consensus rounds,
+          // zero message delays beyond the client hop.
+          const core::StateMachine* m = group_->machine(candidate);
+          fast_reads_.fetch_add(1, std::memory_order_relaxed);
+          if (fast_reads_ctr_ != nullptr) fast_reads_ctr_->inc();
+          complete(key, m->apply_read(query));
+        } else {
+          // Downgrade: order the read like a write. Linearizable without any
+          // lease assumption, one consensus round slower.
+          ordered_reads_.fetch_add(1, std::memory_order_relaxed);
+          if (ordered_reads_ctr_ != nullptr) ordered_reads_ctr_->inc();
+          group_->cluster().node(candidate).a_broadcast(
+              frame_read(key.first, key.second, query));
+        }
+      });
+}
+
+bool ServiceGroup::retry(const Key& key) {
+  Call next;  // attempt 0: none left
+  {
     common::MutexLock lock(mu_);
     const auto it = pending_.find(key);
-    while (!it->second.done && !stopping_.load(std::memory_order_acquire)) {
-      if (cv_.wait_for(lock.inner(), wait_slice) == std::cv_status::timeout) {
-        break;
+    if (it == pending_.end() || it->second.done) return false;
+    if (++it->second.attempt < cfg_.client_max_attempts &&
+        !stopping_.load(std::memory_order_acquire)) {
+      next = it->second;
+    }
+  }
+  if (next.attempt == 0) {
+    complete(key, "error:timeout");
+    return false;
+  }
+  retries_.fetch_add(1, std::memory_order_relaxed);
+  send_attempt(key, next);
+  return true;
+}
+
+void ServiceGroup::complete(const Key& key, std::string reply) {
+  Client::Done on_done;
+  {
+    common::MutexLock lock(mu_);
+    const auto it = pending_.find(key);
+    if (it == pending_.end() || it->second.done) return;
+    if (it->second.on_done == nullptr) {
+      it->second.done = true;
+      it->second.reply = std::move(reply);
+      cv_.notify_all();
+      return;
+    }
+    on_done = std::move(it->second.on_done);
+    pending_.erase(it);
+  }
+  // Outside the lock: the callback may start the session's next call.
+  on_done(std::move(reply));
+}
+
+std::string ServiceGroup::await(const Key& key) {
+  const auto wait_slice =
+      std::chrono::duration<double, std::milli>(cfg_.client_retry_ms);
+  for (;;) {
+    {
+      common::MutexLock lock(mu_);
+      const auto it = pending_.find(key);
+      while (!it->second.done && !stopping_.load(std::memory_order_acquire)) {
+        // One timed slice per attempt; cv_status::timeout => retry. (A
+        // spurious wakeup re-arms the full slice — harmless, bounded by
+        // real notifies.)
+        if (cv_.wait_for(lock.inner(), wait_slice) ==
+            std::cv_status::timeout) {
+          break;
+        }
+      }
+      if (it->second.done) {
+        std::string reply = std::move(it->second.reply);
+        pending_.erase(it);
+        return reply;
       }
     }
-    if (it->second.done) {
-      std::string reply = std::move(it->second.reply);
-      pending_.erase(it);
-      return reply;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
+    // Sends the next attempt, or marks the call done with error:timeout.
+    static_cast<void>(retry(key));
   }
-  common::MutexLock lock(mu_);
-  pending_.erase(key);
-  return "error:timeout";
+}
+
+void ServiceGroup::arm_retry(const Key& key) {
+  sim::SimTransport* clock = group_->cluster().sim();
+  ZDC_ASSERT_MSG(clock != nullptr,
+                 "completion-callback calls run in virtual time (a kSim "
+                 "cluster); threads use the blocking calls");
+  clock->after(cfg_.client_retry_ms, [this, key] {
+    if (retry(key)) arm_retry(key);
+  });
 }
 
 }  // namespace zdc::rsm

@@ -75,25 +75,37 @@ namespace zdc::rsm {
 
 class ServiceGroup;
 
-/// Blocking client handle (one per session; use from one harness thread).
-/// Obtained from ServiceGroup::client(); the session is implicitly opened
-/// by its first request and closed by close_session().
+/// Client handle (one per session; use from one thread). Obtained from
+/// ServiceGroup::client(); the session is implicitly opened by its first
+/// request and closed by close_session().
+///
+/// Every call comes in two forms over one attempt loop. The asynchronous
+/// one returns at once and runs `done` once with the reply; it needs a
+/// cluster on sim::SimTransport, whose clock arms the retry timers outside
+/// every replica (a retry survives the crash of the replica it targeted).
+/// The blocking one, for threads, waits out each attempt on the caller.
 class Client {
  public:
+  /// Receives the reply, or "error:timeout" once every attempt failed.
+  using Done = std::function<void(std::string reply)>;
+
   /// Replicates one command; blocks until the reply is known. Retries
   /// internally (other home replica, same envelope) on timeout — the dedup
   /// table makes retries exactly-once. Returns "error:timeout" only after
   /// exhausting every attempt (a partitioned or dead cluster).
   std::string execute(std::string command);
+  void execute(std::string command, Done done);
 
   /// Linearizable read; served without a consensus round when the lease
   /// gate allows, transparently downgraded to an ordered read otherwise.
   std::string read(std::string query);
+  void read(std::string query, Done done);
 
   /// Dedup GC: tombstones this session's server-side entry (erased after
   /// the order-based GC window — see session.h). Call only once the last
   /// reply has arrived.
   void close_session();
+  void close_session(Done done);
 
   [[nodiscard]] ClientId id() const { return id_; }
 
@@ -175,15 +187,41 @@ class ServiceGroup {
     ProcessId last_barrier_owner = kNoProcess;
   };
 
-  struct Pending {
-    std::string reply;
+  enum class CallKind : std::uint8_t { kWrite, kRead, kClose };
+  /// One client call in flight, from its first attempt to its reply.
+  struct Call {
+    CallKind kind = CallKind::kWrite;
+    /// The framed envelope, or the bare query of a read-index read (its
+    /// lane frames it only if the lease gate downgrades it).
+    std::string body;
+    ProcessId home = 0;
+    int attempt = 0;
     bool done = false;
+    std::string reply;
+    Client::Done on_done;  ///< empty for a blocking call
   };
   using Key = std::pair<ClientId, std::uint64_t>;
 
-  std::string await_reply(const Key& key, ProcessId home,
-                          const std::string& framed);
-  std::string submit_read(Client& c, const std::string& query);
+  /// Registers a call under a fresh key and sends its first attempt.
+  Key begin(Client& c, CallKind kind, std::string payload,
+            Client::Done on_done);
+  /// The one attempt step: a write, a close or an ordered read goes to home
+  /// replica (home + attempt) mod n (the original may be crashed or cut
+  /// off; resubmitting the same envelope is safe, dedup answers it); a
+  /// read-index read is marshalled onto the leader's lane, rotated the same
+  /// way, through the lease gate.
+  void send_attempt(const Key& key, const Call& call);
+  /// Called when an attempt timed out: sends the next one (true), or
+  /// finishes the call with "error:timeout" once attempts are exhausted or
+  /// the call is already done (false).
+  bool retry(const Key& key);
+  /// Records the reply of a call (first one wins) and wakes its waiter or
+  /// runs its callback.
+  void complete(const Key& key, std::string reply);
+  /// The blocking form: waits one retry slice per attempt.
+  std::string await(const Key& key);
+  /// The asynchronous form: one virtual-time retry timer per attempt.
+  void arm_retry(const Key& key);
   void attach_observer(ProcessId p);
   void on_applied(ProcessId p, const Envelope& e, const std::string& reply);
   void schedule_gate_poll(ProcessId p);
@@ -204,7 +242,7 @@ class ServiceGroup {
 
   mutable common::Mutex mu_;
   std::condition_variable cv_;
-  std::map<Key, Pending> pending_ ZDC_GUARDED_BY(mu_);
+  std::map<Key, Call> pending_ ZDC_GUARDED_BY(mu_);
 
   std::atomic<ClientId> next_client_{1};
   std::atomic<std::uint64_t> writes_{0};

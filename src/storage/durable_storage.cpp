@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/codec.h"
 
 // zdc-analyze: allow-file(blocking-under-lock): group commit IS fsync under mu_ — concurrent put()s queue on the mutex and ride the leader's sync; moving the fsync outside would need a promise/epoch scheme for zero benefit at this write volume (bench_recovery pins the cost)
@@ -256,6 +257,23 @@ Status DurableStableStorage::last_status() const {
 std::uint64_t DurableStableStorage::wal_appended_bytes() const {
   common::MutexLock lock(mu_);
   return wal_->appended_bytes();
+}
+
+MemDisks::MemDisks(std::uint32_t n, DurableStorageOptions options)
+    : options_(options) {
+  for (std::uint32_t p = 0; p < n; ++p) {
+    envs_.push_back(std::make_unique<MemEnv>());
+  }
+}
+
+common::StorageFactory MemDisks::factory() {
+  return [this](ProcessId p) -> std::unique_ptr<common::StableStorage> {
+    std::unique_ptr<DurableStableStorage> store;
+    const Status s = DurableStableStorage::open(*envs_[p], "db", options_,
+                                                &store);
+    ZDC_ASSERT_MSG(s.is_ok(), "WAL reopen failed");
+    return store;
+  };
 }
 
 }  // namespace zdc::storage

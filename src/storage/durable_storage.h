@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/stable_storage.h"
@@ -107,6 +108,20 @@ class DurableStableStorage final : public common::StableStorage {
   /// fsyncs outside the WAL (snapshot files); sync_count() adds the WAL's.
   std::uint64_t extra_syncs_ ZDC_GUARDED_BY(mu_) = 0;
   std::uint64_t bytes_at_last_compact_ ZDC_GUARDED_BY(mu_) = 0;
+};
+
+/// Per-process MemEnvs standing in for disks: they outlive crashes and
+/// restarts, and factory() opens a DurableStableStorage over process p's
+/// (replaying its WAL) each time it is called — a kill-9 reboot in memory.
+class MemDisks {
+ public:
+  explicit MemDisks(std::uint32_t n, DurableStorageOptions options = {});
+  [[nodiscard]] common::StorageFactory factory();
+  [[nodiscard]] MemEnv& env(ProcessId p) { return *envs_[p]; }
+
+ private:
+  const DurableStorageOptions options_;
+  std::vector<std::unique_ptr<MemEnv>> envs_;
 };
 
 }  // namespace zdc::storage

@@ -257,6 +257,15 @@ TEST(AnalyzeTest, MacroBodiesAreSeen) {
             (Hits{{6, "wall-clock"}, {9, "raw-random"}}));
 }
 
+TEST(AnalyzeTest, MacroBodyWalksAreSeen) {
+  // A range-for in a #define body over an unordered global or member fires
+  // at the line that spells the loop; the ordered walk and the lookup do
+  // not, and a non-deterministic file reports nothing.
+  EXPECT_EQ(hits("macro_walk.cpp", /*deterministic=*/true),
+            (Hits{{20, "unordered-iter"}, {24, "unordered-iter"}}));
+  EXPECT_TRUE(hits("macro_walk.cpp", /*deterministic=*/false).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Suppression grammar.
 

@@ -241,7 +241,7 @@ TEST(BenchArtifacts, CommittedArtifactsValidate) {
   for (const auto& [name, tag] :
        {std::pair<std::string, std::string>{"hotpath", "zdc-bench-hotpath-v1"},
         {"recovery", "zdc-bench-recovery-v1"},
-        {"service", "zdc-bench-service-v2"}}) {
+        {"service", "zdc-bench-service-v3"}}) {
     const std::string path =
         std::string(ZDC_SOURCE_DIR) + "/BENCH_" + name + ".json";
     const CliResult r = run_validate(name, path);

@@ -474,28 +474,6 @@ TEST(FromOptions, ClusterInstantiatesPerProcessStorage) {
 
 // --------------------------------------------------------------- end to end
 
-// Per-process MemEnvs standing in for four disks; they outlive crashes and
-// restarts, which is exactly what makes the WAL replay meaningful.
-struct Disks {
-  explicit Disks(std::uint32_t n) {
-    for (std::uint32_t p = 0; p < n; ++p) {
-      envs.push_back(std::make_unique<storage::MemEnv>());
-    }
-  }
-
-  common::StorageFactory factory() {
-    return [this](ProcessId p) -> std::unique_ptr<common::StableStorage> {
-      std::unique_ptr<storage::DurableStableStorage> store;
-      const storage::Status s =
-          storage::DurableStableStorage::open(*envs[p], "db", {}, &store);
-      ZDC_ASSERT_MSG(s.is_ok(), "WAL reopen failed");
-      return store;
-    };
-  }
-
-  std::vector<std::unique_ptr<storage::MemEnv>> envs;
-};
-
 ReplicaGroup::Config small_windows() {
   ReplicaGroup::Config cfg;
   cfg.rsm.snapshot_every = 8;
@@ -508,7 +486,7 @@ ReplicaGroup::Config small_windows() {
 // writes through DurableStableStorage — observable syncs and WAL files in
 // every process's Env (pre-fix: zero of either, silently).
 TEST(ReplicaGroupE2E, WithStorageWritesThroughTheWal) {
-  Disks disks(4);
+  storage::MemDisks disks(4);
   const auto opts =
       zdc::RunOptions{}.with_group(4, 1).with_seed(7).with_storage(
           disks.factory());
@@ -533,7 +511,7 @@ TEST(ReplicaGroupE2E, WithStorageWritesThroughTheWal) {
     EXPECT_GT(group.cluster().storage(p)->sync_count(), 0u)
         << "replica " << p << " never synced: with_storage() is a no-op";
     std::vector<std::string> files;
-    ASSERT_TRUE(disks.envs[p]->list_dir("db", &files).is_ok());
+    ASSERT_TRUE(disks.env(p).list_dir("db", &files).is_ok());
     EXPECT_FALSE(files.empty()) << "no WAL segments on disk " << p;
   }
 }
@@ -547,7 +525,7 @@ TEST(ReplicaGroupE2E, Kill9RestartCatchesUpViaSnapshotAndConverges) {
   constexpr ProcessId kVictim = 3;
   constexpr std::uint64_t kPhase1 = 20;
   constexpr std::uint64_t kPhase2 = 60;  // >> max_retained: forces snapshot
-  Disks disks(4);
+  storage::MemDisks disks(4);
   const auto opts =
       zdc::RunOptions{}.with_group(4, 1).with_seed(42).with_storage(
           disks.factory());
@@ -610,7 +588,7 @@ TEST(ReplicaGroupE2E, Kill9RestartCatchesUpViaSnapshotAndConverges) {
 // catch-up must complete purely over resent entries, no snapshot.
 TEST(ReplicaGroupE2E, ShortOutageCatchesUpViaEntriesAlone) {
   constexpr ProcessId kVictim = 2;
-  Disks disks(4);
+  storage::MemDisks disks(4);
   ReplicaGroup::Config cfg = small_windows();
   cfg.retention.max_retained = 0;  // unbounded: ack-driven GC only
   const auto opts =

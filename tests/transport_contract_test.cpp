@@ -1,7 +1,8 @@
-// The runtime Transport contract, checked once over both implementations
-// (in-process mailboxes and loopback UDP): what every layer above relies on
-// from the executor lane each process runs on.
-//   * timers run on the process's own thread (the one its handlers run on),
+// The runtime Transport contract, checked once over all three
+// implementations (in-process mailboxes, loopback UDP and the simulated LAN
+// in virtual time): what every layer above relies on from the executor lane
+// each process runs on.
+//   * timers run on the process's own lane (the one its handlers run on),
 //     in due order;
 //   * schedule(p, 0) from a foreign thread runs promptly — it wakes the lane
 //     instead of waiting out a poll slice;
@@ -12,6 +13,10 @@
 //     at once;
 //   * restart wipes everything the dead incarnation had queued;
 //   * a crashed process neither sends nor receives, nor runs timers.
+// The simulator has one thread and no wall clock, so the two wall-clock
+// bounds (foreign-thread wake-up, timer lateness) hold on threads only;
+// every other case waits by running the simulator's events instead of
+// sleeping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +35,7 @@
 #include "runtime/inproc_net.h"
 #include "runtime/transport.h"
 #include "runtime/udp_net.h"
+#include "sim/sim_transport.h"
 #include "test_sync.h"
 
 namespace zdc::runtime {
@@ -38,7 +44,7 @@ namespace {
 using std::chrono::milliseconds;
 using Clock = std::chrono::steady_clock;
 
-enum class Kind { kInproc, kUdp };
+enum class Kind { kInproc, kUdp, kSim };
 
 /// Median delay bound of a foreign-thread schedule(p, 0). A lane wakes on
 /// the post; a transport that waits for its next poll instead (a 7 ms slice
@@ -58,17 +64,25 @@ double elapsed_ms(Clock::time_point since) {
 class TransportContract : public ::testing::TestWithParam<Kind> {
  protected:
   /// Default wire settings apart from short inproc delays (or
-  /// `inproc_delay_ms` on every inproc hop, when set): the UDP ARQ runs at
-  /// its stock retransmit interval.
+  /// `wire_delay_ms` on every inproc or simulated hop, when set): the UDP
+  /// ARQ runs at its stock retransmit interval.
   std::unique_ptr<Transport> make(std::uint32_t n,
                                   obs::MetricsRegistry* metrics = nullptr,
-                                  double inproc_delay_ms = 0.0) const {
+                                  double wire_delay_ms = 0.0) const {
+    if (GetParam() == Kind::kSim) {
+      sim::SimTransport::Config cfg;
+      cfg.n = n;
+      cfg.seed = 42;
+      if (wire_delay_ms > 0.0) cfg.lan.base_delay_ms = wire_delay_ms;
+      cfg.metrics = metrics;
+      return std::make_unique<sim::SimTransport>(cfg);
+    }
     if (GetParam() == Kind::kInproc) {
       InprocNetwork::Config cfg;
       cfg.n = n;
       cfg.seed = 42;
-      cfg.min_delay_ms = inproc_delay_ms > 0.0 ? inproc_delay_ms : 0.01;
-      cfg.max_delay_ms = inproc_delay_ms > 0.0 ? inproc_delay_ms : 0.05;
+      cfg.min_delay_ms = wire_delay_ms > 0.0 ? wire_delay_ms : 0.01;
+      cfg.max_delay_ms = wire_delay_ms > 0.0 ? wire_delay_ms : 0.05;
       cfg.metrics = metrics;
       return std::make_unique<InprocNetwork>(cfg);
     }
@@ -77,6 +91,18 @@ class TransportContract : public ::testing::TestWithParam<Kind> {
     cfg.seed = 77;
     cfg.metrics = metrics;
     return std::make_unique<UdpNetwork>(cfg);
+  }
+
+  [[nodiscard]] bool threaded() const { return GetParam() != Kind::kSim; }
+
+  /// Whether `event` holds within `window`: polled on threads, found by
+  /// running the simulator's events for `window` of virtual time otherwise.
+  template <typename Predicate>
+  bool within(Transport& net, Predicate&& event,
+              milliseconds window = milliseconds(15000)) const {
+    if (threaded()) return testing::poll_until(event, window);
+    return static_cast<sim::SimTransport&>(net).run_until(
+        event, net.now_ms() + static_cast<double>(window.count()));
   }
 };
 
@@ -92,7 +118,7 @@ TEST_P(TransportContract, TimersFireOnTheOwnerThreadInDueOrder) {
   net->set_handler(1, [](const Delivery&) {});
   net->start();
   net->send(Channel::kProtocol, 1, 0, "who-runs-p0");
-  ASSERT_TRUE(testing::poll_until([&] {
+  ASSERT_TRUE(within(*net, [&] {
     std::lock_guard<std::mutex> lock(mu);
     return handler_thread != std::thread::id();
   }));
@@ -103,7 +129,7 @@ TEST_P(TransportContract, TimersFireOnTheOwnerThreadInDueOrder) {
       fired.emplace_back(delay, std::this_thread::get_id());
     });
   }
-  ASSERT_TRUE(testing::poll_until([&] {
+  ASSERT_TRUE(within(*net, [&] {
     std::lock_guard<std::mutex> lock(mu);
     return fired.size() == 4;
   }));
@@ -116,10 +142,13 @@ TEST_P(TransportContract, TimersFireOnTheOwnerThreadInDueOrder) {
     EXPECT_EQ(thread, handler_thread) << "timer " << delay << " ms";
   }
   EXPECT_EQ(order, (std::vector<int>{1, 5, 15, 30}));
-  EXPECT_NE(handler_thread, std::this_thread::get_id());
+  if (threaded()) {
+    EXPECT_NE(handler_thread, std::this_thread::get_id());
+  }
 }
 
 TEST_P(TransportContract, ForeignScheduleRunsPromptly) {
+  if (!threaded()) GTEST_SKIP() << "a wall-clock bound; one thread in sim";
   auto net = make(2);
   net->set_handler(0, [](const Delivery&) {});
   net->set_handler(1, [](const Delivery&) {});
@@ -142,6 +171,7 @@ TEST_P(TransportContract, ForeignScheduleRunsPromptly) {
 }
 
 TEST_P(TransportContract, TimersFireOnTime) {
+  if (!threaded()) GTEST_SKIP() << "a wall-clock bound; virtual time is exact";
   auto net = make(1);
   net->set_handler(0, [](const Delivery&) {});
   net->start();
@@ -177,8 +207,9 @@ TEST_P(TransportContract, TimersFireOnTime) {
 }
 
 TEST_P(TransportContract, ReliableSelfSendIsLocal) {
-  // Every inproc wire hop costs 20 ms here, so only a local delivery beats a
-  // 10 ms timer; on UDP a wire hop is a datagram the counter sees.
+  // Every inproc or simulated wire hop costs 20 ms here, so only a local
+  // delivery beats a 10 ms timer; on UDP a wire hop is a datagram the
+  // counter sees.
   obs::MetricsRegistry metrics;
   auto net = make(2, &metrics, 20.0);
   std::mutex mu;
@@ -188,7 +219,7 @@ TEST_P(TransportContract, ReliableSelfSendIsLocal) {
     log.push_back(std::move(event));
   };
   const auto logged = [&](std::size_t count) {
-    return testing::poll_until([&] {
+    return within(*net, [&] {
       std::lock_guard<std::mutex> lock(mu);
       return log.size() == count;
     });
@@ -218,7 +249,7 @@ TEST_P(TransportContract, ReliableSelfSendIsLocal) {
   ASSERT_TRUE(logged(2));
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (GetParam() == Kind::kInproc) {
+    if (GetParam() != Kind::kUdp) {
       EXPECT_EQ(log, (std::vector<std::string>{"timer", "wab"}));
     }
     log.clear();
@@ -230,7 +261,8 @@ TEST_P(TransportContract, ReliableSelfSendIsLocal) {
   // A crashed sender hands itself nothing.
   net->crash(0);
   net->send(Channel::kProtocol, 0, 0, "dead");
-  EXPECT_FALSE(testing::ever_within(
+  EXPECT_FALSE(within(
+      *net,
       [&] {
         std::lock_guard<std::mutex> lock(mu);
         return !log.empty();
@@ -254,13 +286,13 @@ TEST_P(TransportContract, PauseFreezesHandlersAndTimersUntilResume) {
     net->send(Channel::kProtocol, 0, 1, "m" + std::to_string(i));
   }
   for (int i = 0; i < 3; ++i) net->schedule(1, 1.0, [&] { ++timers; });
-  EXPECT_FALSE(testing::ever_within(
-      [&] { return delivered > 0 || timers > 0; }, milliseconds(100)))
+  EXPECT_FALSE(within(
+      *net, [&] { return delivered > 0 || timers > 0; }, milliseconds(100)))
       << "a paused process ran a handler or a timer";
 
   net->links().resume(1);
-  EXPECT_TRUE(testing::poll_until(
-      [&] { return delivered == 5 && timers == 3; }, kResumeBound))
+  EXPECT_TRUE(within(
+      *net, [&] { return delivered == 5 && timers == 3; }, kResumeBound))
       << "backlog after resume: " << delivered << "/5 messages, " << timers
       << "/3 timers";
   net->shutdown();
@@ -282,19 +314,16 @@ TEST_P(TransportContract, RestartWipesQueuedMessagesAndTimers) {
   net->links().pause(1);
   for (int i = 0; i < 3; ++i) net->send(Channel::kProtocol, 0, 1, "old");
   for (int i = 0; i < 2; ++i) net->schedule(1, 1.0, [&] { ++old_work; });
-  EXPECT_FALSE(testing::ever_within([&] { return old_work > 0; },
-                                    milliseconds(50)));
+  EXPECT_FALSE(within(*net, [&] { return old_work > 0; }, milliseconds(50)));
   net->crash(1);
-  EXPECT_FALSE(testing::ever_within([&] { return old_work > 0; },
-                                    milliseconds(20)));
+  EXPECT_FALSE(within(*net, [&] { return old_work > 0; }, milliseconds(20)));
   net->restart(1);
   net->links().resume(1);
 
   net->send(Channel::kProtocol, 0, 1, "new");
   net->schedule(1, 1.0, [&] { ++new_work; });
-  ASSERT_TRUE(testing::poll_until([&] { return new_work == 2; }));
-  EXPECT_FALSE(testing::ever_within([&] { return old_work > 0; },
-                                    milliseconds(50)))
+  ASSERT_TRUE(within(*net, [&] { return new_work == 2; }));
+  EXPECT_FALSE(within(*net, [&] { return old_work > 0; }, milliseconds(50)))
       << "the restarted incarnation ran work queued before the crash";
   net->shutdown();
 }
@@ -314,21 +343,26 @@ TEST_P(TransportContract, CrashedProcessNeitherSendsNorReceives) {
   net->broadcast(Channel::kProtocol, 1, "y");  // 1 must not send
   net->send(Channel::kProtocol, 2, 1, "z");    // nor receive unicast
   net->schedule(1, 0.0, [&] { ++crashed_timers; });
-  ASSERT_TRUE(
-      testing::poll_until([&] { return got[0] == 1 && got[2] == 1; }));
-  EXPECT_FALSE(testing::ever_within(
-      [&] { return got[0] != 1 || got[1] != 0 || got[2] != 1; },
+  ASSERT_TRUE(within(*net, [&] { return got[0] == 1 && got[2] == 1; }));
+  EXPECT_FALSE(within(
+      *net, [&] { return got[0] != 1 || got[1] != 0 || got[2] != 1; },
       milliseconds(30)));
   EXPECT_EQ(crashed_timers, 0);
   net->shutdown();
 }
 
 std::string kind_name(const ::testing::TestParamInfo<Kind>& param) {
-  return param.param == Kind::kInproc ? "inproc" : "udp";
+  switch (param.param) {
+    case Kind::kInproc: return "inproc";
+    case Kind::kUdp: return "udp";
+    case Kind::kSim: return "sim";
+  }
+  return "?";
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, TransportContract,
-                         ::testing::Values(Kind::kInproc, Kind::kUdp),
+                         ::testing::Values(Kind::kInproc, Kind::kUdp,
+                                           Kind::kSim),
                          kind_name);
 
 }  // namespace

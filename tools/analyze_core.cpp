@@ -1693,13 +1693,81 @@ struct BodyWalker {
 
 };
 
+/// Ground type of a range-for's range spelled in a directive body, where no
+/// scope is known: the last name of the chain as a global, else as a member
+/// of some class, provided every class that has it agrees. "" when unknown.
+std::string directive_range_type(const Model& model, int fi,
+                                 const std::string& name) {
+  const auto git = model.globals.find(name);
+  if (git != model.globals.end()) return model.resolve_type(fi, git->second);
+  std::string ground;
+  for (const auto& [cls_name, cls] : model.classes) {
+    const auto it = cls.members.find(name);
+    if (it == cls.members.end()) continue;
+    const std::string g = model.resolve_type(fi, it->second);
+    if (!ground.empty() && g != ground) return "";
+    ground = g;
+  }
+  return ground;
+}
+
+/// unordered-iter inside #define bodies, which the structural model skips:
+/// a `for (decl : range)` in a directive whose range resolves (see above)
+/// to an unordered container. [begin, end) is the directive's tokens.
+void directive_range_fors(const Model& model, int fi,
+                          const std::vector<Token>& t, std::size_t begin,
+                          std::size_t end, std::vector<Finding>* out) {
+  for (std::size_t k = begin; k + 1 < end; ++k) {
+    if (t[k].text != "for" || t[k + 1].text != "(") continue;
+    int depth = 0;
+    std::size_t colon = 0;
+    std::size_t close = 0;
+    for (std::size_t j = k + 1; j < end; ++j) {
+      if (t[j].text == "(") ++depth;
+      if (t[j].text == ")" && --depth == 0) {
+        close = j;
+        break;
+      }
+      if (t[j].text == ";" && depth == 1) break;  // classic for
+      if (t[j].text == ":" && depth == 1 && colon == 0) colon = j;
+    }
+    if (colon == 0 || close == 0 || close == colon + 1) continue;
+    const std::string& name = t[close - 1].text;
+    if (t[close - 1].kind != Tok::kIdent) continue;
+    const std::string ground = directive_range_type(model, fi, name);
+    if (unordered_types().count(ground) == 0) continue;
+    out->push_back(
+        {(*model.files)[fi].path, t[k].line, "unordered-iter",
+         "range-for over '" + name + "' in a #define body iterates std::" +
+             ground +
+             " — iteration order is unspecified and breaks replayable "
+             "schedules; use std::map/std::set"});
+  }
+}
+
 // Token rules over one file's full lex (code and directive bodies, comments
 // removed): the hygiene bans everywhere, and in deterministic files the
 // clock/time/random bans on the literal spelling or on any name whose
-// using/typedef chain grounds in a banned type.
+// using/typedef chain grounds in a banned type, and unordered walks inside
+// #define bodies.
 void token_sweep(const Model& model, int fi, const std::vector<Token>& t,
                  std::vector<Finding>* out) {
   const SourceFile& file = (*model.files)[fi];
+  if (file.deterministic) {
+    for (std::size_t k = 0; k + 1 < t.size(); ++k) {
+      if (t[k].text != "#" || t[k + 1].text != "define") continue;
+      // The directive runs to the end of its line, continued past every
+      // line that ends in a backslash.
+      std::size_t e = k + 1;
+      for (int line = t[k].line; e < t.size(); ++e) {
+        if (t[e].line == line) continue;
+        if (t[e - 1].text != "\\") break;
+        line = t[e].line;
+      }
+      directive_range_fors(model, fi, t, k + 2, e, out);
+      k = e - 1;
+    }
+  }
   // An alias declaration names the alias without using it (`using Ticker =
   // Clock;`); only a literal banned spelling on that line counts.
   std::set<int> alias_decl_lines;

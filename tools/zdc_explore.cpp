@@ -373,6 +373,11 @@ int run_sequence_mode(const Flags& flags) {
 }
 
 int run_runtime_mode(const Flags& flags) {
+  if (flags.has("plan") || flags.has("plan-text")) {
+    std::fprintf(stderr,
+                 "bad fault plan: the runtime mode injects no fault plan\n");
+    return 2;
+  }
   const std::string protocol = flags.get("protocol", "c-l");
   runtime::ProtocolKind kind;
   if (protocol == "c-l") {
@@ -477,7 +482,8 @@ void usage() {
       "  --fd MODE      stable (default) | track (crash-tracking)\n"
       "  --detect-ms X  detection delay for --fd track\n"
       "  --crash SPEC   e.g. 0@0.5 (p0 at 0.5 ms), 2@init, comma-separated\n"
-      "  --plan FILE    nemesis plan file (see docs/FAULTS.md for the syntax)\n"
+      "  --plan FILE    nemesis plan file (see docs/FAULTS.md for the syntax);\n"
+      "                 sim modes only, runtime rejects it\n"
       "  --plan-text T  inline plan, ';' separates actions:\n"
       "                 \"@0.2 partition 0 1 | 2 3;@6 heal\"\n\n"
       "  --metrics      print the run's metrics (JSON + Prometheus text)\n"
