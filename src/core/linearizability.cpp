@@ -32,34 +32,4 @@ bool order_respects_real_time(const std::vector<ClientOp>& ops,
   return true;
 }
 
-bool order_respects_real_time_fast(const std::vector<ClientOp>& ops,
-                                   const std::vector<std::string>& order,
-                                   RealTimeViolation* violation) {
-  std::map<std::string, const ClientOp*> by_id;
-  for (const ClientOp& op : ops) by_id.emplace(op.id, &op);
-
-  // One pass with the running max of invocation times: order[j] violates
-  // real time iff it completed before SOME earlier-ordered op was invoked,
-  // and only the latest such invocation matters. Same verdict as the
-  // quadratic checker (the pair reported may differ — this one blames the
-  // latest-invoked earlier op).
-  const ClientOp* max_invoke = nullptr;
-  for (const std::string& id : order) {
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) continue;
-    const ClientOp* op = it->second;
-    if (max_invoke != nullptr && op->response_ms < max_invoke->invoke_ms) {
-      if (violation != nullptr) {
-        violation->earlier_in_order = max_invoke->id;
-        violation->later_in_order = op->id;
-      }
-      return false;
-    }
-    if (max_invoke == nullptr || op->invoke_ms > max_invoke->invoke_ms) {
-      max_invoke = op;
-    }
-  }
-  return true;
-}
-
 }  // namespace zdc::core

@@ -40,14 +40,4 @@ bool order_respects_real_time(const std::vector<ClientOp>& ops,
                               const std::vector<std::string>& order,
                               RealTimeViolation* violation = nullptr);
 
-/// Same verdict as order_respects_real_time in O(len(order) · log|ops|):
-/// a single scan carrying the running max of invocation times (an op
-/// violates real time iff it completed before the latest invocation among
-/// ops ordered before it). Scales to the service simulator's 10^5+-session
-/// histories; the reported pair may differ from the quadratic checker's
-/// (this one blames the latest-invoked earlier op).
-bool order_respects_real_time_fast(const std::vector<ClientOp>& ops,
-                                   const std::vector<std::string>& order,
-                                   RealTimeViolation* violation = nullptr);
-
 }  // namespace zdc::core
